@@ -6,11 +6,15 @@ each scheduled update the queue is appended to the chronological tree, the
 revocation forest is rebuilt, its root is appended as the batch's final
 entry, and a fresh signed root is emitted. Readers always see the snapshot
 of the last completed update.
+
+LogState holds what the entry stream alone determines (registry, issuance
+hierarchy, revocation forest); LogServer and the full monitor both extend
+it, so they place certificates and rebuild the forest with the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import journal as jr
 from .certs import (
@@ -232,15 +236,65 @@ class UpdateRecord:
     root_entry_index: int
 
 
-def resolve_parent(cert: Certificate, key_owner: dict[Digest, Digest]) -> Digest | None:
-    """Forest placement rule: a self-signed CA is a root; anything else hangs
-    under the first registered certificate holding its issuer key."""
-    if cert.is_ca and cert.is_self_signed:
-        return None
-    return key_owner[cert.issuer_key_id]
+class LogState:
+    """The state the entry stream determines: chronological tree, registry,
+    issuance hierarchy and revocation forest. The log and every full monitor
+    build it through these methods alone, so a replica's forest root is the
+    log's computation by construction."""
+
+    def __init__(self):
+        self.tree = TimeTree()
+        self.forest = RevForest()
+        self.registry: dict[Digest, RegisteredCert] = {}
+        self.certs: dict[Digest, Certificate] = {}
+        self.children: dict[Digest | None, list[Digest]] = {None: []}
+        # First registered certificate holding each subject key; fixes forest
+        # placement deterministically from the entry stream alone.
+        self.key_owner: dict[Digest, Digest] = {}
+        self._dirty: set[Digest | None] = set()  # subtrees whose leaves changed
+
+    def register(self, cert: Certificate, reg_ts: int) -> bool:
+        """Place a certificate in the forest; False if it is already there.
+
+        A self-signed CA, or a certificate whose issuer key no registered
+        certificate holds, goes to the top subtree; anything else hangs under
+        the first registered holder of its issuer key."""
+        h = cert.cert_hash
+        if h in self.registry:
+            return False
+        parent = None if cert.is_ca and cert.is_self_signed else self.key_owner.get(cert.issuer_key_id)
+        self.registry[h] = RegisteredCert(cert.canonical_bytes, reg_ts, parent, [], cert.not_after)
+        self.certs[h] = cert
+        self.key_owner.setdefault(cert.subject_key_id, h)
+        self.children.setdefault(h, [])
+        self.children[parent].append(h)
+        self._dirty.add(parent)
+        return True
+
+    def add_revocation(self, target: Digest, rev_bytes: bytes, reg_ts: int) -> None:
+        record = self.registry[target]
+        record.revocations.append((rev_bytes, reg_ts))
+        self._dirty.add(record.parent)
+
+    def forest_root(self) -> Digest:
+        """Rebuild the subtrees changed since the last call, or reuse the
+        cached top root when nothing changed."""
+        if not self._dirty:
+            return self.forest.top_root()
+        # A change inside a subtree ripples up: every ancestor's leaf embeds
+        # the child subtree root.
+        dirty: set[Digest | None] = set()
+        for key in self._dirty:
+            while key not in dirty:
+                dirty.add(key)
+                if key is None:
+                    break
+                key = self.registry[key].parent
+        self._dirty = set()
+        return self.forest.rebuild(self.registry, self.children, dirty=dirty)
 
 
-class LogServer:
+class LogServer(LogState):
     """Single-writer log; submissions validate concurrently but mutate through
     one queue, and every read serves the snapshot of the latest update."""
 
@@ -251,17 +305,9 @@ class LogServer:
         start_time: int,
         journal: jr.Journal | None = None,
     ):
+        super().__init__()
         self.config = config
         self.key = signing_key
-        self.tree = TimeTree()
-        self.forest = RevForest()
-        self.registry: dict[Digest, RegisteredCert] = {}
-        self.certs: dict[Digest, Certificate] = {}
-        self.children: dict[Digest | None, list[Digest]] = {None: []}
-        # First registered certificate holding each subject key; fixes forest
-        # placement deterministically from the entry stream alone, so monitors
-        # reconstruct the identical hierarchy.
-        self.key_owner: dict[Digest, Digest] = {}
         self.pending_certs: list[Digest] = []  # submission order, parents first
         self.pending_set: set[Digest] = set()
         self.pending_revs: list[RevocationMessage] = []
@@ -269,7 +315,6 @@ class LogServer:
         self.rk_revocations: dict[Digest, Digest] = {}  # target cert -> rev hash
         self.updates: list[UpdateRecord] = []
         self.last_update_time = start_time
-        self._dirty: set[Digest | None] = set()
         self._journal = journal
 
     # -- schedule ----------------------------------------------------------
@@ -292,10 +337,9 @@ class LogServer:
             raise InvalidChainSubmission(str(e)) from e
         return self._admit_chain(chain)
 
-    def _admit_chain(self, chain: CertChain, journal: bool = True) -> ChainCommitment:
+    def _admit_chain(self, chain: CertChain) -> ChainCommitment:
         if chain.root.cert_hash not in self.config.trust_roots:
             raise UntrustedRoot("chain does not terminate at a trusted root")
-        timestamps_root_first: list[int] = []
         new_count = sum(
             1
             for c in chain.certs
@@ -303,31 +347,27 @@ class LogServer:
         )
         if len(self.pending_certs) + new_count > self.config.max_pending:
             raise QueueFull(f"more than {self.config.max_pending} entries pending")
-        to_journal: list[tuple[int, bytes]] = []
-        for cert in chain.certs:
-            h = cert.cert_hash
-            if h in self.registry:
-                timestamps_root_first.append(self.registry[h].reg_ts)
-            elif h in self.pending_set:
-                timestamps_root_first.append(self.next_update_time())
-            else:
-                self.certs[h] = cert
-                self.pending_certs.append(h)
-                self.pending_set.add(h)
-                timestamps_root_first.append(self.next_update_time())
-                to_journal.append((jr.REC_CERT, cert.canonical_bytes))
-        if journal and self._journal is not None and to_journal:
-            self._journal.append_all(to_journal)
-        ts_leaf_first = tuple(reversed(timestamps_root_first))
-        payload = chain.leaf.cert_hash.value + u8(len(ts_leaf_first))
-        for t in ts_leaf_first:
-            payload += u64(t)
-        sig = self.key.sign(TAG_CHAIN_COMMITMENT, payload)
-        return ChainCommitment(
-            leaf_cert_hash=chain.leaf.cert_hash,
-            timestamps=ts_leaf_first,
-            log_signature=sig,
+        queued = [(jr.REC_CERT, c.canonical_bytes) for c in chain.certs if self._queue_cert(c)]
+        if self._journal is not None and queued:
+            self._journal.append_all(queued)
+        timestamps = tuple(
+            self.registry[c.cert_hash].reg_ts if c.cert_hash in self.registry else self.next_update_time()
+            for c in reversed(chain.certs)
         )
+        return self._sign(TAG_CHAIN_COMMITMENT, ChainCommitment(chain.leaf.cert_hash, timestamps, None))
+
+    def _queue_cert(self, cert: Certificate) -> bool:
+        """Queue a certificate for the next update; False if already known."""
+        h = cert.cert_hash
+        if h in self.registry or h in self.pending_set:
+            return False
+        self.certs[h] = cert
+        self.pending_certs.append(h)
+        self.pending_set.add(h)
+        return True
+
+    def _sign(self, tag: int, unsigned):
+        return replace(unsigned, log_signature=self.key.sign(tag, unsigned.payload()))
 
     def submit_revocation(self, chain: CertChain, rev: RevocationMessage) -> RevocationCommitment:
         try:
@@ -344,7 +384,7 @@ class LogServer:
             raise IllegitimateRevocation("revocation signature or policy check failed")
         return self._admit_revocation(rev)
 
-    def _admit_revocation(self, rev: RevocationMessage, journal: bool = True) -> RevocationCommitment:
+    def _admit_revocation(self, rev: RevocationMessage) -> RevocationCommitment:
         h = rev.target_cert_hash
         # Idempotent resubmission of a byte-identical message.
         if h in self.registry:
@@ -359,30 +399,24 @@ class LogServer:
                 raise DuplicateRkRevocation("the revocation key was already used for this certificate")
             self.rk_revocations[h] = rev.rev_hash
         self.pending_revs.append(rev)
-        if journal and self._journal is not None:
+        if self._journal is not None:
             self._journal.append(jr.REC_REVOCATION, rev.canonical_bytes)
         return self._sign_rev_commitment(rev, self.next_update_time())
 
     def _sign_rev_commitment(self, rev: RevocationMessage, ts: int) -> RevocationCommitment:
-        payload = rev.rev_hash.value + u64(ts)
-        sig = self.key.sign(TAG_REVOCATION_COMMITMENT, payload)
-        return RevocationCommitment(rev_hash=rev.rev_hash, timestamp=ts, log_signature=sig)
+        return self._sign(TAG_REVOCATION_COMMITMENT, RevocationCommitment(rev.rev_hash, ts, None))
 
     def submit_tcrl_hash(self, tcrl_hash: Digest) -> RevocationCommitment:
         """Queue a vendor revocation bundle by its hash; the tcrl module
         verifies the vendor signature before calling this."""
         return self._admit_tcrl(tcrl_hash)
 
-    def _admit_tcrl(self, tcrl_hash: Digest, journal: bool = True) -> RevocationCommitment:
+    def _admit_tcrl(self, tcrl_hash: Digest) -> RevocationCommitment:
         if tcrl_hash not in self.pending_tcrls:
             self.pending_tcrls.append(tcrl_hash)
-            if journal and self._journal is not None:
+            if self._journal is not None:
                 self._journal.append(jr.REC_TCRL, tcrl_hash.value)
-        payload = tcrl_hash.value + u64(self.next_update_time())
-        sig = self.key.sign(TAG_TCRL, payload)
-        return RevocationCommitment(
-            rev_hash=tcrl_hash, timestamp=self.next_update_time(), log_signature=sig
-        )
+        return self._sign(TAG_TCRL, RevocationCommitment(tcrl_hash, self.next_update_time(), None))
 
     # -- the update cycle --------------------------------------------------
 
@@ -394,46 +428,28 @@ class LogServer:
             )
         return self._apply_update(now)
 
-    def _apply_update(self, now: int, journal: bool = True) -> SignedRoot:
+    def _apply_update(self, now: int) -> SignedRoot:
         batch: list[TimeTreeEntry] = []
         for h in self.pending_certs:
             cert = self.certs[h]
-            parent = resolve_parent(cert, self.key_owner)
+            self.register(cert, now)
             batch.append(TimeTreeEntry(EntryKind.CERT, cert.canonical_bytes, now))
-            self.registry[h] = RegisteredCert(
-                cert_bytes=cert.canonical_bytes,
-                reg_ts=now,
-                parent=parent,
-                revocations=[],
-                not_after=cert.not_after,
-            )
-            self.key_owner.setdefault(cert.subject_key_id, h)
-            self.children.setdefault(h, [])
-            self.children.setdefault(parent, []).append(h)
-            self._mark_dirty(parent)
         self.pending_certs.clear()
         self.pending_set.clear()
 
         for rev in self.pending_revs:
+            self.add_revocation(rev.target_cert_hash, rev.canonical_bytes, now)
             batch.append(TimeTreeEntry(EntryKind.REVOCATION, rev.canonical_bytes, now))
-            record = self.registry[rev.target_cert_hash]
-            record.revocations.append((rev.canonical_bytes, now))
-            self._mark_dirty(record.parent)
         self.pending_revs.clear()
 
         for tcrl_hash in self.pending_tcrls:
             batch.append(TimeTreeEntry(EntryKind.TCRL, tcrl_hash.value, now))
         self.pending_tcrls.clear()
 
-        if self._dirty:
-            forest_root = self.forest.rebuild(self.registry, self.children, dirty=self._dirty)
-        else:
-            forest_root = self.forest.top_root()  # nothing changed this period
-        self._dirty = set()
+        forest_root = self.forest_root()
         batch.append(TimeTreeEntry(EntryKind.REV_TREE_ROOT, forest_root.value, now))
         root = self.tree.append(batch)
-        sig = self.key.sign(TAG_SIGNED_ROOT, root.value + u64(now))
-        signed = SignedRoot(root=root, timestamp=now, log_signature=sig)
+        signed = self._sign(TAG_SIGNED_ROOT, SignedRoot(root, now, None))
         self.updates.append(
             UpdateRecord(
                 timestamp=now,
@@ -444,18 +460,9 @@ class LogServer:
             )
         )
         self.last_update_time = now
-        if journal and self._journal is not None:
+        if self._journal is not None:
             self._journal.append(jr.REC_UPDATE, u64(now))
         return signed
-
-    def _mark_dirty(self, key: Digest | None) -> None:
-        # A change inside a subtree ripples up: every ancestor's leaf embeds
-        # the child subtree root.
-        while True:
-            self._dirty.add(key)
-            if key is None:
-                return
-            key = self.registry[key].parent
 
     # -- queries -----------------------------------------------------------
 
@@ -485,14 +492,6 @@ class LogServer:
             if rev.target_cert_hash in targets:
                 out.append(PendingRevocation(rev, self._sign_rev_commitment(rev, self.next_update_time())))
         return out
-
-    def pending_revocations_for(self, chain: CertChain) -> list[PendingRevocation]:
-        hashes = {c.cert_hash for c in chain.certs}
-        return [
-            PendingRevocation(rev, self._sign_rev_commitment(rev, self.next_update_time()))
-            for rev in self.pending_revs
-            if rev.target_cert_hash in hashes
-        ]
 
     def prove_absence(self, level_path: list[Digest], missing: Digest) -> AbsenceProof:
         latest = self.latest
@@ -532,19 +531,12 @@ class LogServer:
         log = cls(config, signing_key, start_time, journal=None)
         for rec in records:
             if rec.kind == jr.REC_CERT:
-                cert = decode_certificate(rec.payload)
-                h = cert.cert_hash
-                if h not in log.registry and h not in log.pending_set:
-                    log.certs[h] = cert
-                    log.pending_certs.append(h)
-                    log.pending_set.add(h)
+                log._queue_cert(decode_certificate(rec.payload))
             elif rec.kind == jr.REC_REVOCATION:
-                rev = decode_revocation(rec.payload)
-                log._admit_revocation(rev, journal=False)
+                log._admit_revocation(decode_revocation(rec.payload))
             elif rec.kind == jr.REC_TCRL:
-                log._admit_tcrl(Digest(rec.payload), journal=False)
+                log._admit_tcrl(Digest(rec.payload))
             elif rec.kind == jr.REC_UPDATE:
-                now = Reader(rec.payload).u64()
-                log._apply_update(now, journal=False)
+                log._apply_update(Reader(rec.payload).u64())
         log._journal = jr.Journal(journal_path)
         return log

@@ -2,8 +2,9 @@
 
 A full monitor replays the entry stream, re-validates every certificate and
 revocation, rebuilds the revocation forest per batch, and compares its own
-computed roots against what the log signed. Any divergence yields a
-misbehavior report built from signed artifacts.
+computed roots against what the log signed. It is a LogState, like the log,
+so it applies entries with the log's own placement and forest code. Any
+divergence yields a misbehavior report built from signed artifacts.
 
 A lightweight monitor never stores certificate bodies. It holds leaf hashes
 for live entries, covering hashes for whole expired regions, and full bytes
@@ -28,9 +29,8 @@ from .certs import (
     verify_revocation,
 )
 from .crypto import TAG_CERT_ISSUE, Digest, hash_leaf, hash_node, verify
-from .log import ChainCommitment, RevocationCommitment, SignedRoot, resolve_parent
+from .log import ChainCommitment, LogState, RevocationCommitment, SignedRoot
 from .merkle import largest_pow2_below
-from .revtree import RegisteredCert, RevForest
 from .timetree import EntryKind, TimeTree, TimeTreeEntry
 from .wire import b64d, b64e
 
@@ -94,25 +94,19 @@ class SyncResult:
     reports: list[MisbehaviorReport]
 
 
-class FullMonitor:
+class FullMonitor(LogState):
     """Complete replica of the log with continuous re-validation."""
 
     def __init__(self, trust_roots: frozenset[Digest], log_pub: bytes, vendor_pub: bytes):
+        super().__init__()
         self.trust_roots = trust_roots
         self.log_pub = log_pub
         self.vendor_pub = vendor_pub
-        self.tree = TimeTree()
-        self.forest = RevForest()
-        self.registry: dict[Digest, RegisteredCert] = {}
-        self.certs: dict[Digest, Certificate] = {}
-        self.children: dict[Digest | None, list[Digest]] = {None: []}
-        self.key_owner: dict[Digest, Digest] = {}
         self.rk_used: set[Digest] = set()
         self.entry_index: dict[Digest, int] = {}  # cert hash -> entry index
         self.rev_entry_hashes: set[Digest] = set()
         self.signed_roots: dict[int, SignedRoot] = {}
         self.last_update_time: int | None = None
-        self._dirty: set[Digest | None] = set()
 
     # -- synchronization ----------------------------------------------------
 
@@ -123,36 +117,28 @@ class FullMonitor:
         return self.full_sync(entries, signed_root)
 
     def full_sync(self, new_entries: list[TimeTreeEntry], signed_root: SignedRoot) -> SyncResult:
-        reports: list[MisbehaviorReport] = []
+        """Check and apply each new entry, as the log applied it, and compare
+        every forest root and the tree root with what the log claims."""
         if not signed_root.verify(self.log_pub):
             return SyncResult(False, self.tree.size, [
                 MisbehaviorReport(REPORT_ROOT_MISMATCH, {"why": "unverifiable signed root",
                                                          "claimed": signed_root.to_json()})
             ])
-        for entry in new_entries:
-            problem = self._validate_entry(entry)
+        start = self.tree.size
+        # Fail closed before applying anything: the tree only grows forward in time.
+        last_ts = self.tree.entry(start - 1).reg_timestamp if start else 0
+        for i, entry in enumerate(new_entries):
+            if entry.reg_timestamp < last_ts:
+                return SyncResult(False, start, [
+                    self._invalid(entry, start + i, "timestamp precedes the previous entry")
+                ])
+            last_ts = entry.reg_timestamp
+        self.tree.append(new_entries)
+        reports: list[MisbehaviorReport] = []
+        for i, entry in enumerate(new_entries):
+            problem = self._check_and_apply(entry, start + i)
             if problem is not None:
                 reports.append(problem)
-            self.tree.append([entry])
-            self._apply_entry(entry, self.tree.size - 1)
-            if entry.kind == EntryKind.REV_TREE_ROOT:
-                # Rebuild our own forest over everything seen so far and
-                # compare with what the log claims it summarizes to.
-                forest_root = self.forest.rebuild(
-                    self.registry, self.children, dirty=self._dirty or None
-                )
-                self._dirty = set()
-                if forest_root.value != entry.payload:
-                    reports.append(
-                        MisbehaviorReport(
-                            REPORT_INVALID_ENTRY,
-                            {
-                                "entry": b64e(entry.encode()),
-                                "why": "forest root does not match the logged objects",
-                                "computed": forest_root.hex,
-                            },
-                        )
-                    )
         if self.tree.root() != signed_root.root:
             reports.append(
                 MisbehaviorReport(
@@ -169,97 +155,67 @@ class FullMonitor:
         self.last_update_time = signed_root.timestamp
         return SyncResult(not reports, self.tree.size, reports)
 
-    def _validate_entry(self, entry: TimeTreeEntry) -> MisbehaviorReport | None:
+    def _check_and_apply(self, entry: TimeTreeEntry, index: int) -> MisbehaviorReport | None:
+        """Apply one entry to the replica, even an invalid one, since the log
+        applied it too; reports it if it is invalid."""
+        why = None
         if entry.kind == EntryKind.CERT:
             try:
                 cert = decode_certificate(entry.payload)
             except Exception as e:
-                return self._invalid(entry, f"undecodable certificate: {e}")
-            if cert.is_ca and cert.is_self_signed:
-                if cert.cert_hash not in self.trust_roots:
-                    return self._invalid(entry, "self-signed root outside the trust set")
-                return None
-            parent_hash = self.key_owner.get(cert.issuer_key_id)
-            if parent_hash is None:
-                return self._invalid(entry, "issuer key unknown to the log")
-            parent = self.certs[parent_hash]
-            if not parent.is_ca:
-                return self._invalid(entry, "issuer is not a CA")
-            if not verify(parent.subject_public_key, TAG_CERT_ISSUE, cert.tbs_bytes, cert.issuer_signature):
-                return self._invalid(entry, "issuer signature does not verify")
-            return None
-        if entry.kind == EntryKind.REVOCATION:
-            try:
-                rev = decode_revocation(entry.payload)
-            except Exception as e:
-                return self._invalid(entry, f"undecodable revocation: {e}")
-            target_hash = rev.target_cert_hash
-            if target_hash not in self.certs:
-                return self._invalid(entry, "revocation of an unlogged certificate")
-            chain = self._chain_to(target_hash)
-            if not verify_revocation(rev, self.certs[target_hash], chain, self.vendor_pub):
-                return self._invalid(entry, "revocation fails verification")
-            if rev.signer_role == SignerRole.REVOCATION_KEY:
-                if target_hash in self.rk_used:
-                    return self._invalid(entry, "second use of a single-use revocation key")
-            return None
-        if entry.kind == EntryKind.REV_TREE_ROOT:
-            # Checked in _apply_entry where the rebuilt root is at hand.
-            return None
-        return None
-
-    def _invalid(self, entry: TimeTreeEntry, why: str) -> MisbehaviorReport:
-        return MisbehaviorReport(
-            REPORT_INVALID_ENTRY,
-            {"entry": b64e(entry.encode()), "why": why, "at_index": self.tree.size},
-        )
-
-    def _apply_entry(self, entry: TimeTreeEntry, index: int) -> None:
-        if entry.kind == EntryKind.CERT:
-            try:
-                cert = decode_certificate(entry.payload)
-            except Exception:
-                return
-            h = cert.cert_hash
-            if h in self.registry:
-                return
-            try:
-                parent = resolve_parent(cert, self.key_owner)
-            except KeyError:
-                parent = None  # invalid entry, already reported; keep running
-            self.registry[h] = RegisteredCert(
-                cert_bytes=entry.payload,
-                reg_ts=entry.reg_timestamp,
-                parent=parent,
-                revocations=[],
-                not_after=cert.not_after,
-            )
-            self.certs[h] = cert
-            self.key_owner.setdefault(cert.subject_key_id, h)
-            self.children.setdefault(h, [])
-            self.children.setdefault(parent, []).append(h)
-            self.entry_index[h] = index
-            self._mark_dirty(parent)
+                return self._invalid(entry, index, f"undecodable certificate: {e}")
+            if self.register(cert, entry.reg_timestamp):
+                self.entry_index[cert.cert_hash] = index
+            if cert.canonical_bytes != entry.payload:
+                why = "non-canonical certificate encoding"
+            else:
+                why = self._cert_problem(cert)
         elif entry.kind == EntryKind.REVOCATION:
             self.rev_entry_hashes.add(hash_leaf(entry.payload))
             try:
                 rev = decode_revocation(entry.payload)
-            except Exception:
-                return
-            rec = self.registry.get(rev.target_cert_hash)
-            if rec is None:
-                return
-            rec.revocations.append((entry.payload, entry.reg_timestamp))
+            except Exception as e:
+                return self._invalid(entry, index, f"undecodable revocation: {e}")
+            target = rev.target_cert_hash
+            if target not in self.registry:
+                return self._invalid(entry, index, "revocation of an unlogged certificate")
+            if not verify_revocation(rev, self.certs[target], self._chain_to(target), self.vendor_pub):
+                why = "revocation fails verification"
+            elif rev.signer_role == SignerRole.REVOCATION_KEY and target in self.rk_used:
+                why = "second use of a single-use revocation key"
+            self.add_revocation(target, entry.payload, entry.reg_timestamp)
             if rev.signer_role == SignerRole.REVOCATION_KEY:
-                self.rk_used.add(rev.target_cert_hash)
-            self._mark_dirty(rec.parent)
+                self.rk_used.add(target)
+        elif entry.kind == EntryKind.REV_TREE_ROOT:
+            # Our own forest over everything seen so far must summarize to
+            # what the log claims.
+            forest_root = self.forest_root()
+            if forest_root.value != entry.payload:
+                return self._invalid(entry, index, "forest root does not match the logged objects",
+                                     computed=forest_root.hex)
+        return None if why is None else self._invalid(entry, index, why)
 
-    def _mark_dirty(self, key: Digest | None) -> None:
-        while True:
-            self._dirty.add(key)
-            if key is None:
-                return
-            key = self.registry[key].parent
+    def _cert_problem(self, cert: Certificate) -> str | None:
+        """Why a registered certificate should not have been logged, or None."""
+        parent_hash = self.registry[cert.cert_hash].parent
+        if parent_hash is None:  # placed at the top: only trust roots belong there
+            if cert.cert_hash in self.trust_roots:
+                return None
+            if cert.is_self_signed:
+                return "self-signed root outside the trust set"
+            return "issuer key unknown to the log"
+        parent = self.certs[parent_hash]
+        if not parent.is_ca:
+            return "issuer is not a CA"
+        if not verify(parent.subject_public_key, TAG_CERT_ISSUE, cert.tbs_bytes, cert.issuer_signature):
+            return "issuer signature does not verify"
+        return None
+
+    def _invalid(self, entry: TimeTreeEntry, index: int, why: str, **extra) -> MisbehaviorReport:
+        return MisbehaviorReport(
+            REPORT_INVALID_ENTRY,
+            {"entry": b64e(entry.encode()), "why": why, "at_index": index, **extra},
+        )
 
     def _chain_to(self, cert_hash: Digest) -> CertChain:
         hashes = [cert_hash]

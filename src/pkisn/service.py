@@ -108,11 +108,10 @@ def open_log_from_config(config: ServiceConfig) -> LogServer:
     data_dir.mkdir(parents=True, exist_ok=True)
     log_key = load_key(config.log_key_path)
     trust_roots, _ = load_trust_roots(config.trust_roots_path)
-    vendor_pub = b64d(json.loads(Path(config.vendor_pub_path).read_text())["public"])
     log_config = LogConfig(
         scheduling_period=config.scheduling_period,
         trust_roots=trust_roots,
-        vendor_public_key=vendor_pub,
+        vendor_public_key=load_public_key(config.vendor_pub_path),
     )
     start = config.start_time if config.start_time is not None else int(time.time())
     return LogServer.recover(log_config, log_key, start_time=start, journal_path=data_dir / "journal.bin")

@@ -24,7 +24,7 @@ from .crypto import (
     hash_leaf,
     verify,
 )
-from .log import LogServer, RevocationCommitment, SignedRoot, BadVendorSignature
+from .log import LogServer, LogState, RevocationCommitment, SignedRoot, BadVendorSignature
 from .timetree import EntryKind, InclusionProof, TimeTreeEntry, verify_inclusion
 from .wire import Reader, b64d, b64e, lp, u32, u64
 
@@ -119,9 +119,8 @@ class Tcrl:
         return cls.from_json(json.loads(text))
 
 
-def _collect_entries(state, now: int) -> list[TcrlEntry]:
-    """Revocations of revoked, non-expired certificates from a registry-shaped
-    state (a log or a full monitor)."""
+def _collect_entries(state: LogState, now: int) -> list[TcrlEntry]:
+    """Revocations of revoked, non-expired certificates."""
     out: list[TcrlEntry] = []
     for cert_hash, rec in state.registry.items():
         if not rec.revocations:
@@ -134,7 +133,7 @@ def _collect_entries(state, now: int) -> list[TcrlEntry]:
     return out
 
 
-def build_tcrl(state, vendor_key: KeyPair, now: int, version: int = 1) -> Tcrl:
+def build_tcrl(state: LogState, vendor_key: KeyPair, now: int, version: int = 1) -> Tcrl:
     """Deterministic bundle over the given synchronized state."""
     entries = tuple(_collect_entries(state, now))
     unsigned = Tcrl(version=version, issued_at=now, entries=entries)
@@ -245,7 +244,7 @@ class TcrlDelta:
         )
 
 
-def build_tcrl_delta(old: Tcrl, state, vendor_key: KeyPair, now: int) -> TcrlDelta:
+def build_tcrl_delta(old: Tcrl, state: LogState, vendor_key: KeyPair, now: int) -> TcrlDelta:
     new_entries = _collect_entries(state, now)
     old_set = set(old.entries)
     new_set = set(new_entries)

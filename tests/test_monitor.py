@@ -192,6 +192,87 @@ def test_suppressed_revocation_detected():
     assert monitor.check_revocation_commitment(rc2) is None
 
 
+def resigned(log_key, entries):
+    """A root the log signs over an arbitrary entry stream."""
+    from pkisn.timetree import TimeTree
+
+    shadow = TimeTree()
+    shadow.append(entries)
+    ts = entries[-1].reg_timestamp
+    return SignedRoot(
+        root=shadow.root(),
+        timestamp=ts,
+        log_signature=log_key.sign(0x04, shadow.root().value + ts.to_bytes(8, "big")),
+    )
+
+
+def test_backwards_timestamps_fail_closed():
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    entries = log.get_entries(0)
+    # The second entry is five seconds earlier than the first.
+    hostile = [entries[0], replace(entries[1], reg_timestamp=entries[0].reg_timestamp - 5)] + entries[2:]
+    res = monitor.full_sync(hostile, log.latest.signed_root)
+    assert not res.ok
+    assert [r.kind for r in res.reports] == [REPORT_INVALID_ENTRY]
+    assert monitor.tree.size == 0 and monitor.registry == {}  # nothing applied
+
+    # Against the replica's last entry: a new batch dated before it.
+    assert monitor.sync_from(log).ok
+    size = monitor.tree.size
+    stale = TimeTreeEntry(EntryKind.TCRL, hash_leaf(b"bundle").value, entries[-1].reg_timestamp - 1)
+    res = monitor.full_sync([stale], log.latest.signed_root)
+    assert not res.ok
+    assert [r.kind for r in res.reports] == [REPORT_INVALID_ENTRY]
+    assert monitor.tree.size == size
+
+
+def test_non_canonical_certificate_entry_reported():
+    from pkisn.wire import lp
+
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    entries = log.get_entries(0)
+    leaf = fx.leaf
+    # The is_ca byte of a leaf, written as 2 instead of 0, still decodes.
+    at = 8 + len(lp(leaf.subject_name.encode())) + 32 + len(lp(leaf.subject_public_key))
+    raw = bytearray(leaf.canonical_bytes)
+    assert raw[at] == 0
+    raw[at] = 2
+    idx = next(i for i, e in enumerate(entries) if e.payload == leaf.canonical_bytes)
+    hostile = list(entries)
+    hostile[idx] = replace(entries[idx], payload=bytes(raw))
+    res = monitor.full_sync(hostile, resigned(log_key, hostile))
+    assert not res.ok
+    assert any(
+        r.kind == REPORT_INVALID_ENTRY and r.evidence["why"] == "non-canonical certificate encoding"
+        for r in res.reports
+    )
+
+
+def test_quiet_period_costs_no_forest_rebuild(monkeypatch):
+    from pkisn.revtree import RevForest
+
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    calls = []
+    rebuild = RevForest.rebuild
+    monkeypatch.setattr(RevForest, "rebuild", lambda self, *a, **k: calls.append(1) or rebuild(self, *a, **k))
+    log.run_update()  # no new certificates or revocations
+    res = monitor.sync_from(log)
+    assert res.ok and res.reports == []
+    assert calls == []
+    assert monitor.forest.top_root() == log.forest.top_root()
+    assert monitor.tree.root() == log.tree.root()
+
+
 # --- lightweight monitoring ---------------------------------------------------
 
 def leaves_fixture(n_live=4, n_expired=6, period=PERIOD):
