@@ -3,7 +3,7 @@
 Every accepted submission is written and fsynced before its commitment is
 returned, so a crash between any two API calls loses nothing the caller was
 promised. Records carry a CRC so a torn tail from a crash is detected and
-ignored on replay.
+ignored on replay, and cut off before the next write.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
         self._fh = open(self.path, "ab")
+        data = self.path.read_bytes()
+        intact = max((end for _, _, end in _frames(data)), default=0)
+        if intact < len(data):
+            self._fh.truncate(intact)  # replay stops at a torn frame: write before it
 
     def append(self, kind: int, payload: bytes) -> None:
         self.append_all([(kind, payload)])
@@ -53,22 +57,22 @@ class Journal:
     @staticmethod
     def replay(path: str | Path) -> list[JournalRecord]:
         """Read every intact record; stop silently at a truncated or corrupt tail."""
-        records: list[JournalRecord] = []
         p = Path(path)
         if not p.exists():
-            return records
-        data = p.read_bytes()
-        off = 0
-        while off + 5 <= len(data):
-            kind = data[off]
-            length = int.from_bytes(data[off + 1 : off + 5], "big")
-            end = off + 5 + length + 4
-            if end > len(data):
-                break
-            payload = data[off + 5 : off + 5 + length]
-            crc = int.from_bytes(data[off + 5 + length : end], "big")
-            if zlib.crc32(data[off : off + 5 + length]) != crc:
-                break
-            records.append(JournalRecord(kind=kind, payload=payload))
-            off = end
-        return records
+            return []
+        return [JournalRecord(kind, payload) for kind, payload, _ in _frames(p.read_bytes())]
+
+
+def _frames(data: bytes):
+    """Yield (kind, payload, end offset) of each intact frame, up to the first
+    truncated or corrupt one."""
+    off = 0
+    while off + 5 <= len(data):
+        length = int.from_bytes(data[off + 1 : off + 5], "big")
+        end = off + 5 + length + 4
+        if end > len(data):
+            return
+        if zlib.crc32(data[off : off + 5 + length]) != int.from_bytes(data[end - 4 : end], "big"):
+            return
+        yield data[off], data[off + 5 : end - 4], end
+        off = end

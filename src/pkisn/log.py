@@ -385,15 +385,18 @@ class LogServer(LogState):
         return self._admit_revocation(rev)
 
     def _admit_revocation(self, rev: RevocationMessage) -> RevocationCommitment:
+        return self._sign_rev_commitment(rev, self._queue_revocation(rev))
+
+    def _queue_revocation(self, rev: RevocationMessage) -> int:
+        """Queue a revocation for the next update and journal it; returns
+        its registration time, which a byte-identical resubmission keeps."""
         h = rev.target_cert_hash
-        # Idempotent resubmission of a byte-identical message.
         if h in self.registry:
             for rb, ts in self.registry[h].revocations:
                 if rb == rev.canonical_bytes:
-                    return self._sign_rev_commitment(rev, ts)
-        for pending in self.pending_revs:
-            if pending.canonical_bytes == rev.canonical_bytes:
-                return self._sign_rev_commitment(rev, self.next_update_time())
+                    return ts
+        if any(p.canonical_bytes == rev.canonical_bytes for p in self.pending_revs):
+            return self.next_update_time()
         if rev.signer_role == SignerRole.REVOCATION_KEY:
             if h in self.rk_revocations:
                 raise DuplicateRkRevocation("the revocation key was already used for this certificate")
@@ -401,7 +404,14 @@ class LogServer(LogState):
         self.pending_revs.append(rev)
         if self._journal is not None:
             self._journal.append(jr.REC_REVOCATION, rev.canonical_bytes)
-        return self._sign_rev_commitment(rev, self.next_update_time())
+        return self.next_update_time()
+
+    def _queue_tcrl(self, tcrl_hash: Digest) -> None:
+        """Queue a bundle hash for the next update and journal it."""
+        if tcrl_hash not in self.pending_tcrls:
+            self.pending_tcrls.append(tcrl_hash)
+            if self._journal is not None:
+                self._journal.append(jr.REC_TCRL, tcrl_hash.value)
 
     def _sign_rev_commitment(self, rev: RevocationMessage, ts: int) -> RevocationCommitment:
         return self._sign(TAG_REVOCATION_COMMITMENT, RevocationCommitment(rev.rev_hash, ts, None))
@@ -409,13 +419,7 @@ class LogServer(LogState):
     def submit_tcrl_hash(self, tcrl_hash: Digest) -> RevocationCommitment:
         """Queue a vendor revocation bundle by its hash; the tcrl module
         verifies the vendor signature before calling this."""
-        return self._admit_tcrl(tcrl_hash)
-
-    def _admit_tcrl(self, tcrl_hash: Digest) -> RevocationCommitment:
-        if tcrl_hash not in self.pending_tcrls:
-            self.pending_tcrls.append(tcrl_hash)
-            if self._journal is not None:
-                self._journal.append(jr.REC_TCRL, tcrl_hash.value)
+        self._queue_tcrl(tcrl_hash)
         return self._sign(TAG_TCRL, RevocationCommitment(tcrl_hash, self.next_update_time(), None))
 
     # -- the update cycle --------------------------------------------------
@@ -533,9 +537,9 @@ class LogServer(LogState):
             if rec.kind == jr.REC_CERT:
                 log._queue_cert(decode_certificate(rec.payload))
             elif rec.kind == jr.REC_REVOCATION:
-                log._admit_revocation(decode_revocation(rec.payload))
+                log._queue_revocation(decode_revocation(rec.payload))
             elif rec.kind == jr.REC_TCRL:
-                log._admit_tcrl(Digest(rec.payload))
+                log._queue_tcrl(Digest(rec.payload))
             elif rec.kind == jr.REC_UPDATE:
                 log._apply_update(Reader(rec.payload).u64())
         log._journal = jr.Journal(journal_path)

@@ -1,90 +1,116 @@
 """Merkle math over sequences of leaf hashes.
 
-Trees follow the standard transparency-log shape: a tree over n > 1 leaves
-splits at the largest power of two strictly less than n. Audit paths,
-consistency paths, and their verifiers all assume that shape, so any two
-parties agree on the structure for every size.
+Trees follow the standard transparency-log shape (RFC 9162, section 2.1): a
+tree over n > 1 leaves splits at the largest power of two strictly less than
+n. Audit paths, consistency paths, and their verifiers all assume that shape,
+so any two parties agree on the structure for every size. This module is the
+only place that knows it: the chronological tree, every forest subtree and
+the lightweight monitor's frontier all build on it.
+
+A node is a tuple (level, index, hash) naming the complete subtree over
+leaves [index * 2^level, (index + 1) * 2^level).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .crypto import Digest, hash_node, sha256
 
+Node = tuple[int, int, Digest]
 
-def largest_pow2_below(n: int) -> int:
-    """Largest power of two strictly less than n (n must be >= 2)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
+
+def push(frontier: list[Node], node: Node) -> None:
+    """Append a node to a right-edge frontier, merging equal siblings.
+
+    The frontier holds the complete subtrees of a prefix, largest first; the
+    node must start where that prefix ends."""
+    frontier.append(node)
+    while len(frontier) > 1 and frontier[-2][0] == frontier[-1][0]:
+        level, index, right = frontier.pop()
+        left = frontier.pop()[2]
+        frontier.append((level + 1, index >> 1, hash_node(left, right)))
+
+
+def fold(nodes: list[Node]) -> Digest:
+    """Root over a left-to-right run of shrinking nodes, folded right to left."""
+    if not nodes:
+        return sha256(b"")
+    acc = nodes[-1][2]
+    for _, _, digest in reversed(nodes[:-1]):
+        acc = hash_node(digest, acc)
+    return acc
 
 
 class HashStore:
-    """Leaf-hash list with memoized roots of perfect aligned subranges.
+    """Leaf hashes and every complete aligned node above them, one array per
+    level: levels[level][index] is the hash of node (level, index).
 
-    Appending never invalidates a memoized node; ragged ranges on the right
-    edge are recomputed on demand in O(log n) once the aligned parts are
-    cached.
-    """
+    Appending hashes the nodes the new leaves complete; nothing is hashed
+    twice, and ragged ranges on the right edge fold O(log n) stored nodes."""
 
-    def __init__(self, leaf_hashes: list[Digest] | None = None):
-        self.leaves: list[Digest] = list(leaf_hashes or [])
-        self._memo: dict[tuple[int, int], Digest] = {}
+    def __init__(self, leaf_hashes: Iterable[Digest] = ()):
+        self.levels: list[list[Digest]] = [[]]
+        self.append(leaf_hashes)
 
     def __len__(self) -> int:
-        return len(self.leaves)
+        return len(self.levels[0])
 
-    def append(self, leaf_hash: Digest) -> None:
-        self.leaves.append(leaf_hash)
+    def append(self, leaf_hashes: Iterable[Digest]) -> None:
+        row = self.levels[0]
+        row.extend(leaf_hashes)
+        level = 0
+        while len(row) >= 2:
+            if level + 1 == len(self.levels):
+                self.levels.append([])
+            up = self.levels[level + 1]
+            up.extend([hash_node(row[i], row[i + 1]) for i in range(2 * len(up), len(row) - 1, 2)])
+            row, level = up, level + 1
+
+    def cover(self, lo: int, hi: int) -> list[Node]:
+        """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
+        if not 0 <= lo <= hi <= len(self):
+            raise ValueError(f"bad range [{lo}, {hi}) over {len(self)} leaves")
+        nodes: list[Node] = []
+        while lo < hi:
+            level = (hi - lo).bit_length() - 1
+            if lo:
+                level = min(level, (lo & -lo).bit_length() - 1)
+            nodes.append((level, lo >> level, self.levels[level][lo >> level]))
+            lo += 1 << level
+        return nodes
 
     def range_hash(self, lo: int, hi: int) -> Digest:
-        """Root of the subtree over leaves [lo, hi)."""
+        """Root of the subtree over leaves [lo, hi), which must be a node of
+        some prefix tree: lo is a multiple of the least power of two >= hi - lo."""
         n = hi - lo
-        if n <= 0 or hi > len(self.leaves):
-            raise ValueError(f"bad range [{lo}, {hi}) over {len(self.leaves)} leaves")
-        if n == 1:
-            return self.leaves[lo]
-        aligned = (n & (n - 1)) == 0 and lo % n == 0
-        if aligned:
-            hit = self._memo.get((lo, hi))
-            if hit is not None:
-                return hit
-        k = largest_pow2_below(n)
-        out = hash_node(self.range_hash(lo, lo + k), self.range_hash(lo + k, hi))
-        if aligned:
-            self._memo[(lo, hi)] = out
-        return out
+        if n <= 0 or lo % (1 << (n - 1).bit_length()):
+            raise ValueError(f"[{lo}, {hi}) is not a node of a prefix tree")
+        return fold(self.cover(lo, hi))
 
     def root(self, size: int | None = None) -> Digest:
-        size = len(self.leaves) if size is None else size
-        if size == 0:
-            return sha256(b"")
-        return self.range_hash(0, size)
+        return fold(self.cover(0, len(self) if size is None else size))
 
     def audit_path(self, index: int, size: int | None = None) -> list[Digest]:
         """Sibling hashes from the leaf up to the root of the size-prefix tree."""
-        size = len(self.leaves) if size is None else size
-        if not 0 <= index < size <= len(self.leaves):
+        size = len(self) if size is None else size
+        if not 0 <= index < size <= len(self):
             raise ValueError("index outside tree")
         path: list[Digest] = []
-        lo, hi = 0, size
-        stack: list[Digest] = []
-        while hi - lo > 1:
-            k = largest_pow2_below(hi - lo)
-            if index < lo + k:
-                stack.append(self.range_hash(lo + k, hi))
-                hi = lo + k
-            else:
-                stack.append(self.range_hash(lo, lo + k))
-                lo = lo + k
-        path = list(reversed(stack))
+        level = 0
+        while 1 << level < size:
+            sibling = (index >> level) ^ 1
+            lo = sibling << level
+            if lo + (1 << level) <= size:
+                path.append(self.levels[level][sibling])
+            elif lo < size:  # a sibling cut by the right edge
+                path.append(self.range_hash(lo, size))
+            level += 1
         return path
 
     def consistency_path(self, old_size: int, new_size: int) -> list[Digest]:
         """Nodes proving the old_size tree is a prefix of the new_size tree."""
-        if not 0 < old_size <= new_size <= len(self.leaves):
+        if not 0 < old_size <= new_size <= len(self):
             raise ValueError("sizes outside tree")
         if old_size == new_size:
             return []
@@ -94,7 +120,7 @@ class HashStore:
         n = hi - lo
         if m == n:
             return [] if complete else [self.range_hash(lo, hi)]
-        k = largest_pow2_below(n)
+        k = 1 << ((n - 1).bit_length() - 1)  # the split: largest power of two below n
         if m <= k:
             out = self._sub_consistency(m, lo, lo + k, complete)
             out.append(self.range_hash(lo + k, hi))

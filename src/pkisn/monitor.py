@@ -8,16 +8,19 @@ divergence yields a misbehavior report built from signed artifacts.
 
 A lightweight monitor never stores certificate bodies. It holds leaf hashes
 for live entries, covering hashes for whole expired regions, and full bytes
-only for revocation entries, maintained through delta updates. The minimized
-node set still recomputes the exact tree root, so the monitor can vouch for
-roots, extend its view, answer membership and revocation-status queries, and
-verify client proofs.
+only for revocation entries, maintained through delta updates. Beside that
+tiling it keeps a frontier, the complete subtrees along the right edge, so
+each delta costs only its own items plus O(log n) to recompute the exact
+tree root. The monitor can therefore vouch for roots, extend its view,
+answer membership and revocation-status queries, and verify client proofs.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 from .certs import (
@@ -28,10 +31,10 @@ from .certs import (
     decode_revocation,
     verify_revocation,
 )
-from .crypto import TAG_CERT_ISSUE, Digest, hash_leaf, hash_node, verify
+from .crypto import TAG_CERT_ISSUE, Digest, hash_leaf, verify
 from .log import ChainCommitment, LogState, RevocationCommitment, SignedRoot
-from .merkle import largest_pow2_below
-from .timetree import EntryKind, TimeTree, TimeTreeEntry
+from .merkle import Node, fold, push
+from .timetree import EntryKind, TimeTreeEntry
 from .wire import b64d, b64e
 
 
@@ -114,11 +117,15 @@ class FullMonitor(LogState):
         """Pull everything new from a log (or a client mirroring its API)."""
         signed_root = source.latest.signed_root if hasattr(source, "latest") else source.latest_signed_root()
         entries = source.get_entries(self.tree.size)
-        return self.full_sync(entries, signed_root)
+        # An update may land between the two reads. Every entry of an update
+        # carries its time, so the signed root covers exactly this prefix.
+        covered = takewhile(lambda e: e.reg_timestamp <= signed_root.timestamp, entries)
+        return self.full_sync(list(covered), signed_root)
 
     def full_sync(self, new_entries: list[TimeTreeEntry], signed_root: SignedRoot) -> SyncResult:
-        """Check and apply each new entry, as the log applied it, and compare
-        every forest root and the tree root with what the log claims."""
+        """Compare the tree root over the new entries with what the log signed,
+        then check and apply each entry as the log applied it, comparing every
+        forest root with the one the log logged."""
         if not signed_root.verify(self.log_pub):
             return SyncResult(False, self.tree.size, [
                 MisbehaviorReport(REPORT_ROOT_MISMATCH, {"why": "unverifiable signed root",
@@ -133,24 +140,22 @@ class FullMonitor(LogState):
                     self._invalid(entry, start + i, "timestamp precedes the previous entry")
                 ])
             last_ts = entry.reg_timestamp
+        # The tree root depends on the entry bytes alone: check it before
+        # applying anything, so a replica never holds entries no root signs.
+        frontier = self.tree.cover(0, start)
+        for i, entry in enumerate(new_entries):
+            push(frontier, (0, start + i, entry.leaf_hash))
+        computed = fold(frontier)
+        if computed != signed_root.root:
+            evidence = {"claimed": signed_root.to_json(), "computed_root": computed.hex,
+                        "tree_size": start + len(new_entries)}
+            return SyncResult(False, start, [MisbehaviorReport(REPORT_ROOT_MISMATCH, evidence)])
         self.tree.append(new_entries)
         reports: list[MisbehaviorReport] = []
         for i, entry in enumerate(new_entries):
             problem = self._check_and_apply(entry, start + i)
             if problem is not None:
                 reports.append(problem)
-        if self.tree.root() != signed_root.root:
-            reports.append(
-                MisbehaviorReport(
-                    REPORT_ROOT_MISMATCH,
-                    {
-                        "claimed": signed_root.to_json(),
-                        "computed_root": self.tree.root().hex,
-                        "tree_size": self.tree.size,
-                    },
-                )
-            )
-            return SyncResult(False, self.tree.size, reports)
         self.signed_roots[signed_root.timestamp] = signed_root
         self.last_update_time = signed_root.timestamp
         return SyncResult(not reports, self.tree.size, reports)
@@ -405,7 +410,10 @@ def build_delta(log, from_size: int, now: int, grace: int | None = None) -> Delt
                 run_end = k
                 while run_end < j and prunable(entries[run_end]):
                     run_end += 1
-                items.extend(_cover_run(log.tree, from_size + k, from_size + run_end))
+                items.extend(
+                    DeltaItem(ITEM_COVER if level else ITEM_HASH, level, index, digest.value)
+                    for level, index, digest in log.tree.cover(from_size + k, from_size + run_end)
+                )
                 k = run_end
                 continue
             if entry.kind == EntryKind.REVOCATION:
@@ -423,44 +431,15 @@ def build_delta(log, from_size: int, now: int, grace: int | None = None) -> Delt
     )
 
 
-def _cover_run(tree: TimeTree, lo: int, hi: int) -> list[DeltaItem]:
-    """Greedy dyadic tiling of [lo, hi) with maximal aligned subtrees."""
-    items = []
-    a = lo
-    while a < hi:
-        level = 0
-        while (
-            a % (2 << level) == 0
-            and a + (2 << level) <= hi
-        ):
-            level += 1
-        width = 1 << level
-        if level == 0:
-            items.append(DeltaItem(ITEM_HASH, 0, a, tree.leaf_hash(a).value))
-        else:
-            items.append(DeltaItem(ITEM_COVER, level, a >> level, tree.node_hash(level, a >> level).value))
-        a += width
-    return items
-
-
-@dataclass
-class _Tile:
-    level: int
-    index: int
-    digest: Digest
-
-    def span(self) -> tuple[int, int]:
-        lo = self.index << self.level
-        return lo, lo + (1 << self.level)
-
-
 class MinimizedTimeTree:
     """The lightweight monitor's state: a tiling of the leaf range by tree
-    nodes, plus full revocation payloads for status queries."""
+    nodes, its right-edge frontier, and full revocation payloads for status
+    queries."""
 
     def __init__(self, log_pub: bytes):
         self.log_pub = log_pub
-        self.tiles: list[_Tile] = []
+        self.tiles: list[Node] = []
+        self.frontier: list[Node] = []
         self.size = 0
         self.full_entries: dict[int, TimeTreeEntry] = {}
         self.leaf_index: dict[Digest, int] = {}  # retained leaf hash -> position
@@ -471,25 +450,7 @@ class MinimizedTimeTree:
     def root(self) -> Digest:
         if self.size == 0:
             raise MonitorError("empty state has no root")
-        cursor = 0
-        tiles = self.tiles
-
-        def rec(lo: int, hi: int) -> Digest:
-            nonlocal cursor
-            tile = tiles[cursor]
-            t_lo, t_hi = tile.span()
-            if t_lo == lo and t_hi == hi:
-                cursor += 1
-                return tile.digest
-            k = largest_pow2_below(hi - lo)
-            left = rec(lo, lo + k)
-            right = rec(lo + k, hi)
-            return hash_node(left, right)
-
-        out = rec(0, self.size)
-        if cursor != len(tiles):
-            raise MonitorError("tiling does not cover the leaf range")
-        return out
+        return fold(self.frontier)
 
     def apply_delta(self, delta: DeltaUpdate) -> None:
         """Extend the minimized view; commits only if the recomputed root
@@ -498,30 +459,23 @@ class MinimizedTimeTree:
             raise GapInDelta(f"state at {self.size}, delta starts at {delta.from_size}")
         if not delta.signed_root.verify(self.log_pub):
             raise RootMismatch("delta carries an unverifiable signed root")
-        new_tiles: list[_Tile] = []
+        new_tiles: list[Node] = []
         new_full: dict[int, TimeTreeEntry] = {}
-        pos = self.size
         for batch in delta.batches:
             for item in batch.items:
-                lo, hi = item.span()
-                if lo != pos:
-                    raise GapInDelta(f"item at {lo}, expected {pos}")
                 if item.kind == ITEM_FULL:
                     entry = TimeTreeEntry.decode(item.payload)
-                    new_tiles.append(_Tile(0, item.index, entry.leaf_hash))
+                    new_tiles.append((item.level, item.index, entry.leaf_hash))
                     new_full[item.index] = entry
                 elif item.kind in (ITEM_HASH, ITEM_COVER):
-                    new_tiles.append(_Tile(item.level, item.index, Digest(item.payload)))
+                    new_tiles.append((item.level, item.index, Digest(item.payload)))
                 else:
                     raise MonitorError(f"unknown delta item kind {item.kind!r}")
-                pos = hi
-        if pos != delta.to_size:
-            raise GapInDelta(f"delta items end at {pos}, declared {delta.to_size}")
-
-        candidate = MinimizedTimeTree(self.log_pub)
-        candidate.tiles = self.tiles + new_tiles
-        candidate.size = delta.to_size
-        computed = candidate.root()
+        frontier = list(self.frontier)
+        end = _extend(frontier, self.size, new_tiles)
+        if end != delta.to_size:
+            raise GapInDelta(f"delta items end at {end}, declared {delta.to_size}")
+        computed = fold(frontier)
         if computed != delta.signed_root.root:
             raise RootMismatch(
                 f"recomputed root {computed.hex[:12]} != signed {delta.signed_root.root.hex[:12]}",
@@ -530,10 +484,17 @@ class MinimizedTimeTree:
                     {"claimed": delta.signed_root.to_json(), "computed_root": computed.hex},
                 ),
             )
-        self.tiles = candidate.tiles
-        self.size = delta.to_size
-        for idx, entry in new_full.items():
-            self.full_entries[idx] = entry
+        self.tiles.extend(new_tiles)
+        self.frontier = frontier
+        self.size = end
+        self.full_entries.update(new_full)
+        self._index(new_tiles, new_full.values())
+        self.signed_roots[delta.signed_root.timestamp] = delta.signed_root
+        self.latest_root = delta.signed_root
+
+    def _index(self, tiles: list[Node], full: Iterable[TimeTreeEntry]) -> None:
+        """Make retained leaves and revocation payloads answer queries."""
+        for entry in full:
             try:
                 rev = decode_revocation(entry.payload)
             except Exception:
@@ -541,11 +502,9 @@ class MinimizedTimeTree:
             self.revs_by_target.setdefault(rev.target_cert_hash, []).append(
                 (entry.payload, entry.reg_timestamp)
             )
-        for tile in new_tiles:
-            if tile.level == 0:
-                self.leaf_index[tile.digest] = tile.index
-        self.signed_roots[delta.signed_root.timestamp] = delta.signed_root
-        self.latest_root = delta.signed_root
+        for level, index, digest in tiles:
+            if level == 0:
+                self.leaf_index[digest] = index
 
     # -- queries -------------------------------------------------------------
 
@@ -571,13 +530,24 @@ class MinimizedTimeTree:
 
     def storage_bytes(self) -> int:
         total = 0
-        for tile in self.tiles:
-            lo, _ = tile.span()
-            if tile.level == 0 and lo in self.full_entries:
-                total += len(self.full_entries[lo].encode())
+        for level, index, _ in self.tiles:
+            if level == 0 and index in self.full_entries:
+                total += len(self.full_entries[index].encode())
             else:
                 total += 32
         return total
+
+
+def _extend(frontier: list[Node], start: int, tiles: list[Node]) -> int:
+    """Push tiles that must continue the range [0, start) onto a frontier;
+    returns the end of the range they reach."""
+    pos = start
+    for level, index, digest in tiles:
+        if index << level != pos:
+            raise GapInDelta(f"tile at {index << level}, expected {pos}")
+        push(frontier, (level, index, digest))
+        pos += 1 << level
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +598,7 @@ def save_minimized(path: Path, state: MinimizedTimeTree) -> None:
     payload = {
         "size": state.size,
         "tiles": [
-            {"level": t.level, "index": t.index, "digest": t.digest.hex} for t in state.tiles
+            {"level": level, "index": index, "digest": digest.hex} for level, index, digest in state.tiles
         ],
         "full": [{"index": i, "b64": b64e(e.encode())} for i, e in sorted(state.full_entries.items())],
         "roots": [sr.to_json() for _, sr in sorted(state.signed_roots.items())],
@@ -639,21 +609,13 @@ def save_minimized(path: Path, state: MinimizedTimeTree) -> None:
 def load_minimized(path: Path, log_pub: bytes) -> MinimizedTimeTree:
     obj = json.loads(Path(path).read_text())
     state = MinimizedTimeTree(log_pub)
-    state.size = obj["size"]
-    state.tiles = [_Tile(t["level"], t["index"], Digest.from_hex(t["digest"])) for t in obj["tiles"]]
+    state.tiles = [(t["level"], t["index"], Digest.from_hex(t["digest"])) for t in obj["tiles"]]
+    state.size = _extend(state.frontier, 0, state.tiles)
+    if state.size != obj["size"]:
+        raise GapInDelta(f"stored tiles end at {state.size}, declared {obj['size']}")
     for f in obj["full"]:
-        entry = TimeTreeEntry.decode(b64d(f["b64"]))
-        state.full_entries[f["index"]] = entry
-        try:
-            rev = decode_revocation(entry.payload)
-        except Exception:
-            continue
-        state.revs_by_target.setdefault(rev.target_cert_hash, []).append(
-            (entry.payload, entry.reg_timestamp)
-        )
-    for tile in state.tiles:
-        if tile.level == 0:
-            state.leaf_index[tile.digest] = tile.index
+        state.full_entries[f["index"]] = TimeTreeEntry.decode(b64d(f["b64"]))
+    state._index(state.tiles, state.full_entries.values())
     for r in obj["roots"]:
         sr = SignedRoot.from_json(r)
         state.signed_roots[sr.timestamp] = sr

@@ -13,11 +13,7 @@ from enum import IntEnum
 from functools import cached_property
 
 from .crypto import Digest, hash_leaf
-from .merkle import (
-    HashStore,
-    root_from_audit_path,
-    verify_consistency_path,
-)
+from .merkle import HashStore, Node, root_from_audit_path, verify_consistency_path
 from .wire import Reader, b64d, b64e, lp, u8, u64
 
 
@@ -142,9 +138,8 @@ class TimeTree:
                     f"entry timestamp {e.reg_timestamp} precedes {last_ts}"
                 )
             last_ts = e.reg_timestamp
-        for e in entries:
-            self._entries.append(e)
-            self._store.append(e.leaf_hash)
+        self._entries.extend(entries)
+        self._store.append(e.leaf_hash for e in entries)
         return self.root()
 
     def root(self, size: int | None = None) -> Digest:
@@ -153,13 +148,9 @@ class TimeTree:
             raise SizeOutOfRange(f"size {size} outside tree of size {self.size}")
         return self._store.root(size)
 
-    def node_hash(self, level: int, index: int) -> Digest:
-        """Hash of the complete subtree over leaves [index*2^level, (index+1)*2^level)."""
-        lo = index << level
-        hi = lo + (1 << level)
-        if hi > self.size:
-            raise SizeOutOfRange(f"node ({level}, {index}) outside tree of size {self.size}")
-        return self._store.range_hash(lo, hi)
+    def cover(self, lo: int, hi: int) -> list[Node]:
+        """Maximal aligned nodes tiling entries [lo, hi), left to right."""
+        return self._store.cover(lo, hi)
 
     def leaf_hash(self, index: int) -> Digest:
         return self.entry(index).leaf_hash

@@ -1,5 +1,7 @@
+from itertools import accumulate
+
 from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
-from pkisn.crypto import KeyPair, KeyRole
+from pkisn.crypto import TAG_SIGNED_ROOT, KeyPair, KeyRole, hash_leaf
 from pkisn.journal import Journal
 from pkisn.log import LogConfig, LogServer
 from pkisn.timetree import verify_consistency
@@ -105,3 +107,62 @@ def test_corrupt_crc_stops_replay(tmp_path):
     path.write_bytes(bytes(data))
     records = Journal.replay(path)
     assert [r.kind for r in records] == [1]
+
+
+def journaled_history(tmp_path):
+    """A journal of 2 updates, 1 revocation and 1 bundle, the last three
+    frames being a revocation, a bundle hash and an update."""
+    fx = ChainFixture()
+    vendor = KeyPair.generate(KeyRole.VENDOR)
+    log_key = KeyPair.generate(KeyRole.LOG)
+    path = tmp_path / "journal.bin"
+    log = open_log(fx, vendor, log_key, path)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    log.submit_revocation(fx.chain, rev)
+    log.submit_tcrl_hash(hash_leaf(b"bundle"))
+    log.run_update()
+    log._journal.close()
+    return fx, vendor, log_key, path, log
+
+
+def test_recovery_signs_only_the_roots_it_keeps(tmp_path, monkeypatch):
+    fx, vendor, log_key, path, log = journaled_history(tmp_path)
+    tags = []
+    sign = KeyPair.sign
+
+    def spy(key, tag, payload):
+        tags.append(tag)
+        return sign(key, tag, payload)
+
+    monkeypatch.setattr(KeyPair, "sign", spy)
+    recovered = recover_log(fx, vendor, log_key, path)
+    assert tags == [TAG_SIGNED_ROOT, TAG_SIGNED_ROOT]
+    assert [u.signed_root for u in recovered.updates] == [u.signed_root for u in log.updates]
+    recovered._journal.close()
+
+
+def test_torn_tail_is_cut_before_the_next_write(tmp_path):
+    fx, vendor, log_key, path, _ = journaled_history(tmp_path)
+    data = path.read_bytes()
+    ends = [0] + list(accumulate(9 + len(r.payload) for r in Journal.replay(path)))
+    assert ends[-1] == len(data)
+
+    def recover_update_recover(journal):
+        log = recover_log(fx, vendor, log_key, journal)
+        log.run_update()
+        log._journal.close()
+        log = recover_log(fx, vendor, log_key, journal)
+        log._journal.close()
+        return log.tree.size, log.tree.root(), [u.signed_root for u in log.updates]
+
+    expected = {}
+    copy = tmp_path / "copy.bin"
+    for cut in range(ends[-4], len(data)):
+        intact = max(e for e in ends if e <= cut)
+        if intact not in expected:
+            copy.write_bytes(data[:intact])
+            expected[intact] = recover_update_recover(copy)
+        copy.write_bytes(data[:cut])
+        assert recover_update_recover(copy) == expected[intact], cut

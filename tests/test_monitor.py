@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,8 @@ from pkisn.monitor import (
     RootMismatch,
     UnknownTimestamp,
     build_delta,
+    load_minimized,
+    save_minimized,
     verify_fork_report,
 )
 from pkisn.revtree import cert_id_hash
@@ -426,3 +430,56 @@ def test_pruning_never_removes_required_hashes():
         if must_keep:
             assert idx in retained_level0, idx
             assert not any(lo <= idx < hi for lo, hi in covered), idx
+
+
+def test_load_minimized_rejects_a_gap(tmp_path):
+    fx, log, vendor, log_key, _, _ = leaves_fixture()
+    state = MinimizedTimeTree(log_key.public_bytes)
+    state.apply_delta(build_delta(log, 0, log.last_update_time))
+    path = tmp_path / "light.json"
+    save_minimized(path, state)
+    assert load_minimized(path, log_key.public_bytes).root() == log.tree.root()
+    obj = json.loads(path.read_text())
+    del obj["tiles"][1]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GapInDelta):
+        load_minimized(path, log_key.public_bytes)
+
+
+def test_root_mismatch_applies_nothing():
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    sr = log.run_update()
+    forged_root = hash_leaf(b"not the real root")
+    forged = SignedRoot(
+        root=forged_root,
+        timestamp=sr.timestamp,
+        log_signature=log_key.sign(0x04, forged_root.value + sr.timestamp.to_bytes(8, "big")),
+    )
+    res = monitor.full_sync(log.get_entries(0), forged)
+    assert not res.ok
+    assert [r.kind for r in res.reports] == [REPORT_ROOT_MISMATCH]
+    assert monitor.tree.size == 0 and monitor.registry == {}
+    res = monitor.sync_from(log)
+    assert res.ok and res.reports == []
+    assert res.new_size == monitor.tree.size == log.tree.size
+
+
+def test_sync_racing_an_update_stops_at_the_signed_root():
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    first = log.run_update()
+    first_size = log.tree.size
+    leaf = make_leaf("race.example.com", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.inter_key, serial=5000)
+    log.submit_chain(CertChain((fx.root, fx.inter, leaf)))
+    log.run_update()
+    # Update 2 lands between the read of the signed root and the read of entries.
+    racing = SimpleNamespace(latest_signed_root=lambda: first, get_entries=log.get_entries)
+    res = monitor.sync_from(racing)
+    assert res.ok and res.reports == []
+    assert res.new_size == monitor.tree.size == first_size
+    res = monitor.sync_from(log)
+    assert res.ok and res.reports == []
+    assert monitor.tree.size == log.tree.size
