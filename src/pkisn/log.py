@@ -266,8 +266,7 @@ class LogState:
         self.registry[h] = RegisteredCert(cert.canonical_bytes, reg_ts, parent, [], cert.not_after)
         self.certs[h] = cert
         self.key_owner.setdefault(cert.subject_key_id, h)
-        self.children.setdefault(h, [])
-        self.children[parent].append(h)
+        self.children.setdefault(parent, []).append(h)
         self._dirty.add(parent)
         return True
 
@@ -281,16 +280,7 @@ class LogState:
         cached top root when nothing changed."""
         if not self._dirty:
             return self.forest.top_root()
-        # A change inside a subtree ripples up: every ancestor's leaf embeds
-        # the child subtree root.
-        dirty: set[Digest | None] = set()
-        for key in self._dirty:
-            while key not in dirty:
-                dirty.add(key)
-                if key is None:
-                    break
-                key = self.registry[key].parent
-        self._dirty = set()
+        dirty, self._dirty = self._dirty, set()
         return self.forest.rebuild(self.registry, self.children, dirty=dirty)
 
 
@@ -327,6 +317,9 @@ class LogServer(LogState):
         if not self.updates:
             raise NoUpdateYet("log has not produced an update yet")
         return self.updates[-1]
+
+    def latest_signed_root(self) -> SignedRoot:
+        return self.latest.signed_root
 
     # -- submissions -------------------------------------------------------
 
@@ -477,7 +470,7 @@ class LogServer(LogState):
         try:
             levels = self.forest.prove_chain(query)
         except NotFoundAtLevel as e:
-            absence = self._absence_for(query, e.level)
+            absence = self.prove_absence(query[: e.level], query[e.level])
             raise UnknownLeaf(e.level, absence, latest.signed_root) from e
         proof = ChainPresenceProof(
             levels=tuple(levels),
@@ -486,14 +479,11 @@ class LogServer(LogState):
         return proof, latest.signed_root, self._pending_for_levels(levels)
 
     def _pending_for_levels(self, levels: list[SubtreeLeafRecord]) -> list[PendingRevocation]:
-        targets = set()
-        for rec in levels:
-            cert_hash = self.forest.cert_hash_of(rec.id_hash)
-            if cert_hash is not None:
-                targets.add(cert_hash)
+        ids = {rec.id_hash for rec in levels}
         out = []
         for rev in self.pending_revs:
-            if rev.target_cert_hash in targets:
+            target = self.registry.get(rev.target_cert_hash)
+            if target is not None and target.id_hash in ids:
                 out.append(PendingRevocation(rev, self._sign_rev_commitment(rev, self.next_update_time())))
         return out
 
@@ -509,9 +499,6 @@ class LogServer(LogState):
             right=right,
             root_entry_proof=self.tree.inclusion_proof(latest.root_entry_index, latest.tree_size),
         )
-
-    def _absence_for(self, query: list[Digest], level: int) -> AbsenceProof:
-        return self.prove_absence(query[:level], query[level])
 
     def get_consistency(self, old_size: int, new_size: int) -> ConsistencyProof:
         return self.tree.consistency_proof(old_size, new_size)

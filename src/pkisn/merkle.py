@@ -67,6 +67,11 @@ class HashStore:
             up.extend([hash_node(row[i], row[i + 1]) for i in range(2 * len(up), len(row) - 1, 2)])
             row, level = up, level + 1
 
+    def truncate(self, size: int) -> None:
+        """Keep the first size leaves and every node over them alone."""
+        for level, row in enumerate(self.levels):
+            del row[size >> level:]
+
     def cover(self, lo: int, hi: int) -> list[Node]:
         """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
         if not 0 <= lo <= hi <= len(self):

@@ -35,7 +35,7 @@ from .crypto import TAG_CERT_ISSUE, Digest, hash_leaf, verify
 from .log import ChainCommitment, LogState, RevocationCommitment, SignedRoot
 from .merkle import Node, fold, push
 from .timetree import EntryKind, TimeTreeEntry
-from .wire import b64d, b64e
+from .wire import DecodeError, b64d, b64e
 
 
 class MonitorError(Exception):
@@ -115,7 +115,7 @@ class FullMonitor(LogState):
 
     def sync_from(self, source) -> SyncResult:
         """Pull everything new from a log (or a client mirroring its API)."""
-        signed_root = source.latest.signed_root if hasattr(source, "latest") else source.latest_signed_root()
+        signed_root = source.latest_signed_root()
         entries = source.get_entries(self.tree.size)
         # An update may land between the two reads. Every entry of an update
         # carries its time, so the signed root covers exactly this prefix.
@@ -360,7 +360,7 @@ class DeltaUpdate:
         )
 
 
-def build_delta(log, from_size: int, now: int, grace: int | None = None) -> DeltaUpdate:
+def build_delta(log, from_size: int, now: int) -> DeltaUpdate:
     """Log-side construction of the next delta for a lightweight monitor.
 
     Certificates expired (with one scheduling period of grace) and carrying no
@@ -370,7 +370,6 @@ def build_delta(log, from_size: int, now: int, grace: int | None = None) -> Delt
     hashes. The monitor verifies the declaration only through root equality,
     so a mislabeled leaf can cost availability but never integrity.
     """
-    grace = log.config.scheduling_period if grace is None else grace
     to_size = log.tree.size
     entries = log.get_entries(from_size, to_size)
 
@@ -380,7 +379,7 @@ def build_delta(log, from_size: int, now: int, grace: int | None = None) -> Delt
         if h in live_memo:
             return live_memo[h]
         rec = log.registry[h]
-        alive = rec.not_after + grace > now or any(
+        alive = rec.not_after + log.config.scheduling_period > now or any(
             subtree_live(ch) for ch in log.children.get(h, [])
         )
         live_memo[h] = alive
@@ -461,16 +460,19 @@ class MinimizedTimeTree:
             raise RootMismatch("delta carries an unverifiable signed root")
         new_tiles: list[Node] = []
         new_full: dict[int, TimeTreeEntry] = {}
-        for batch in delta.batches:
-            for item in batch.items:
-                if item.kind == ITEM_FULL:
-                    entry = TimeTreeEntry.decode(item.payload)
-                    new_tiles.append((item.level, item.index, entry.leaf_hash))
-                    new_full[item.index] = entry
-                elif item.kind in (ITEM_HASH, ITEM_COVER):
-                    new_tiles.append((item.level, item.index, Digest(item.payload)))
-                else:
-                    raise MonitorError(f"unknown delta item kind {item.kind!r}")
+        try:
+            for batch in delta.batches:
+                for item in batch.items:
+                    if item.kind == ITEM_FULL:
+                        entry = TimeTreeEntry.decode(item.payload)
+                        new_tiles.append((item.level, item.index, entry.leaf_hash))
+                        new_full[item.index] = entry
+                    elif item.kind in (ITEM_HASH, ITEM_COVER):
+                        new_tiles.append((item.level, item.index, Digest(item.payload)))
+                    else:
+                        raise MonitorError(f"unknown delta item kind {item.kind!r}")
+        except (ValueError, DecodeError) as e:
+            raise MonitorError(f"malformed delta item: {e}") from e
         frontier = list(self.frontier)
         end = _extend(frontier, self.size, new_tiles)
         if end != delta.to_size:
@@ -543,8 +545,9 @@ def _extend(frontier: list[Node], start: int, tiles: list[Node]) -> int:
     returns the end of the range they reach."""
     pos = start
     for level, index, digest in tiles:
-        if index << level != pos:
-            raise GapInDelta(f"tile at {index << level}, expected {pos}")
+        # The level is bounded before any shift: no tree holds 2**64 leaves.
+        if not 0 <= level < 64 or index << level != pos:
+            raise GapInDelta(f"tile ({level}, {index}), expected one at {pos}")
         push(frontier, (level, index, digest))
         pos += 1 << level
     return pos
@@ -609,12 +612,15 @@ def save_minimized(path: Path, state: MinimizedTimeTree) -> None:
 def load_minimized(path: Path, log_pub: bytes) -> MinimizedTimeTree:
     obj = json.loads(Path(path).read_text())
     state = MinimizedTimeTree(log_pub)
-    state.tiles = [(t["level"], t["index"], Digest.from_hex(t["digest"])) for t in obj["tiles"]]
+    try:
+        state.tiles = [(t["level"], t["index"], Digest.from_hex(t["digest"])) for t in obj["tiles"]]
+        for f in obj["full"]:
+            state.full_entries[f["index"]] = TimeTreeEntry.decode(b64d(f["b64"]))
+    except (ValueError, DecodeError) as e:
+        raise MonitorError(f"malformed stored item: {e}") from e
     state.size = _extend(state.frontier, 0, state.tiles)
     if state.size != obj["size"]:
         raise GapInDelta(f"stored tiles end at {state.size}, declared {obj['size']}")
-    for f in obj["full"]:
-        state.full_entries[f["index"]] = TimeTreeEntry.decode(b64d(f["b64"]))
     state._index(state.tiles, state.full_entries.values())
     for r in obj["roots"]:
         sr = SignedRoot.from_json(r)

@@ -10,6 +10,9 @@ adjacent leaves bracketing a missing hash.
 
 One presence proof therefore authenticates a whole chain at once, including
 every revocation attached to any of its members.
+
+Subtrees persist across updates: inserts and revocations alike rehash from
+the first changed leaf on and reuse everything left of it, as history trees do.
 """
 
 from __future__ import annotations
@@ -54,14 +57,11 @@ class RegisteredCert:
     parent: Digest | None
     revocations: list[tuple[bytes, int]] = field(default_factory=list)
     not_after: int = 0
-    _id_hash: Digest | None = field(default=None, repr=False, compare=False)
+    id_hash: Digest = field(init=False, repr=False, compare=False)
 
-    @property
-    def id_hash(self) -> Digest:
+    def __post_init__(self):
         # cert_bytes and reg_ts never change after registration.
-        if self._id_hash is None:
-            self._id_hash = cert_id_hash(self.cert_bytes, self.reg_ts)
-        return self._id_hash
+        self.id_hash = cert_id_hash(self.cert_bytes, self.reg_ts)
 
 
 def cert_id_hash(cert_bytes: bytes, reg_ts: int) -> Digest:
@@ -187,31 +187,60 @@ class AbsenceProof:
         )
 
 
-class _Subtree:
-    """Built subtree: leaves sorted by identity hash with a hash store for paths."""
+def _id_bytes(leaf: list) -> bytes:
+    return leaf[0].value
 
-    def __init__(self, leaves: list, leaf_hashes: list[Digest]):
-        # leaves: (id_hash, revocations, child_root, cert_hash), pre-sorted,
-        # with leaf_hashes computed (or cache-reused) by the forest.
-        self.leaves = leaves
-        self.store = HashStore(leaf_hashes)
-        self.index: dict[Digest, int] = {l[0]: k for k, l in enumerate(leaves)}
+
+class _Subtree:
+    """One CA's children (the root CAs for the top), kept across rebuilds:
+    leaves [id_hash, RegisteredCert, revocations, child_root, leaf_hash]
+    sorted by identity hash, their leaf hashes level 0 of the store."""
+
+    def __init__(self):
+        self.leaves: list[list] = []
+        self.store = HashStore()
+        self.root: Digest | None = None  # None while there are no leaves
 
     @property
     def size(self) -> int:
         return len(self.leaves)
 
-    @property
-    def root(self) -> Digest:
-        if not self.leaves:
-            return empty_subtree_root()
-        return self.store.root()
+    def find(self, id_hash: Digest) -> tuple[int, bool]:
+        """Position of id_hash, or of the next leaf up, and whether it is there."""
+        idx = bisect.bisect_left(self.leaves, id_hash.value, key=_id_bytes)
+        return idx, idx < len(self.leaves) and self.leaves[idx][0] == id_hash
+
+    def update(self, children: list[Digest], registry, subtrees, moved: list[Digest]) -> None:
+        """Merge in the children appended since the last update, rehash new
+        leaves and those whose revocations grew or whose child root moved (the
+        ids in `moved`), and recompute the store from the first of them on."""
+        new = []
+        for ch in children[len(self.leaves):]:
+            if ch not in registry:
+                raise OrphanCertificate(f"child {ch.hex[:12]} is not registered")
+            new.append([registry[ch].id_hash, registry[ch], (), None, None])
+        if new:
+            self.leaves = sorted(self.leaves + new, key=_id_bytes)
+        for id_hash in moved:
+            self.leaves[self.find(id_hash)[0]][4] = None
+        first = len(self.leaves)
+        for i, leaf in enumerate(self.leaves):
+            if leaf[4] is None or len(leaf[1].revocations) != len(leaf[2]):
+                child = subtrees.get(leaf[0])
+                leaf[2] = tuple(leaf[1].revocations)
+                leaf[3] = None if child is None else child.root
+                leaf[4] = rev_leaf_hash(leaf[0], leaf[2], leaf[3])
+                first = min(first, i)
+        if first < len(self.leaves):
+            self.store.truncate(first)
+            self.store.append(leaf[4] for leaf in self.leaves[first:])
+            self.root = self.store.root()
 
     def record(self, idx: int) -> SubtreeLeafRecord:
-        id_hash, revocations, child_root, _ = self.leaves[idx]
+        id_hash, _, revocations, child_root, _ = self.leaves[idx]
         return SubtreeLeafRecord(
             id_hash=id_hash,
-            revocations=tuple(revocations),
+            revocations=revocations,
             child_root=child_root,
             leaf_index=idx,
             subtree_size=self.size,
@@ -220,19 +249,12 @@ class _Subtree:
 
 
 class RevForest:
-    """The forest as built for one update; query operations are read-only.
-
-    rebuild() recomputes only the subtrees named in `dirty` (plus their
-    ancestors, which the caller includes), reusing child roots that did not
-    change; passing dirty=None rebuilds everything from scratch.
-    """
+    """The forest as of the last rebuild; query operations are read-only.
+    Subtrees are keyed by the identity hash of the certificate they hang
+    from, None for the top."""
 
     def __init__(self):
-        self._subtrees: dict[Digest | None, _Subtree] = {}
-        self._cert_of_id: dict[Digest, Digest] = {}
-        # Leaf hashes survive across rebuilds while a certificate's
-        # revocation count and child-subtree root are unchanged.
-        self._leaf_hash_cache: dict[Digest, tuple[int, Digest | None, Digest]] = {}
+        self._subtrees: dict[Digest | None, _Subtree] = {None: _Subtree()}
 
     def rebuild(
         self,
@@ -240,58 +262,34 @@ class RevForest:
         children: dict[Digest | None, list[Digest]],
         dirty: set[Digest | None] | None = None,
     ) -> Digest:
+        """Update the subtrees of the certificates in `dirty` (None for the top)
+        and of their ancestors; dirty=None updates every subtree of an emptied
+        forest. Children lists only grow, and no certificate changes parent."""
         if dirty is None:
-            keys = [k for k, ch in children.items() if ch or k is None]
-            self._subtrees = {}
-            self._cert_of_id = {}
-            self._leaf_hash_cache = {}
-        else:
-            keys = [k for k in dirty if k is None or children.get(k)]
-        # Children before parents: deeper subtrees first.
+            self._subtrees = {None: _Subtree()}
+            dirty = [k for k, ch in children.items() if ch]
+        # A subtree's root is a leaf of its parent's: update children first.
+        depth: dict[Digest | None, int] = {}
         try:
-            keys.sort(key=lambda k: self._depth(k, registry), reverse=True)
+            for key in dirty:
+                path = [key]
+                while path[-1] is not None:
+                    path.append(registry[path[-1]].parent)
+                depth.update((k, d) for d, k in enumerate(reversed(path)))
         except KeyError as e:
             raise OrphanCertificate(f"parent {e} is not registered") from e
-        for key in keys:
-            leaves = []
-            for ch in children.get(key, []):
-                if ch not in registry:
-                    raise OrphanCertificate(f"child {ch.hex[:12]} is not registered")
-                rec = registry[ch]
-                child_subtree = self._subtrees.get(ch)
-                child_root = child_subtree.root if child_subtree is not None and child_subtree.size else None
-                id_hash = rec.id_hash
-                leaves.append((id_hash, rec.revocations, child_root, ch))
-                self._cert_of_id[id_hash] = ch
-            leaves.sort(key=lambda l: l[0].value)
-            leaf_hashes = []
-            for id_hash, revs, child_root, ch in leaves:
-                hit = self._leaf_hash_cache.get(ch)
-                if hit is not None and hit[0] == len(revs) and hit[1] == child_root:
-                    leaf_hashes.append(hit[2])
-                else:
-                    lh = rev_leaf_hash(id_hash, tuple(revs), child_root)
-                    self._leaf_hash_cache[ch] = (len(revs), child_root, lh)
-                    leaf_hashes.append(lh)
-            self._subtrees[key] = _Subtree(leaves, leaf_hashes)
+        moved: dict[Digest | None, list[Digest]] = {}  # parent -> children whose root moved
+        for key in sorted(depth, key=depth.get, reverse=True):
+            sub_id = None if key is None else registry[key].id_hash
+            subtree = self._subtrees.setdefault(sub_id, _Subtree())
+            root = subtree.root
+            subtree.update(children.get(key, []), registry, self._subtrees, moved.pop(key, []))
+            if key is not None and subtree.root is not root:
+                moved.setdefault(registry[key].parent, []).append(sub_id)
         return self.top_root()
 
-    @staticmethod
-    def _depth(key: Digest | None, registry: dict[Digest, RegisteredCert]) -> int:
-        depth = 0
-        while key is not None:
-            key = registry[key].parent
-            depth += 1
-        return depth
-
     def top_root(self) -> Digest:
-        top = self._subtrees.get(None)
-        if top is None or top.size == 0:
-            return empty_subtree_root()
-        return top.root
-
-    def cert_hash_of(self, id_hash: Digest) -> Digest | None:
-        return self._cert_of_id.get(id_hash)
+        return self._subtrees[None].root or empty_subtree_root()
 
     def prove_chain(self, query: list[Digest]) -> list[SubtreeLeafRecord]:
         """Locate each queried identity hash level by level, root CA first."""
@@ -299,11 +297,11 @@ class RevForest:
         key: Digest | None = None
         for level, qh in enumerate(query):
             subtree = self._subtrees.get(key)
-            if subtree is None or qh not in subtree.index:
+            idx, present = subtree.find(qh) if subtree is not None else (0, False)
+            if not present:
                 raise NotFoundAtLevel(level)
-            idx = subtree.index[qh]
             records.append(subtree.record(idx))
-            key = self._cert_of_id[qh]
+            key = qh
         return records
 
     def prove_absence_records(
@@ -311,15 +309,13 @@ class RevForest:
     ) -> tuple[list[SubtreeLeafRecord], bool, int, SubtreeLeafRecord | None, SubtreeLeafRecord | None]:
         """Ancestor records plus brackets for a missing hash; the log wraps this
         with the chronological-tree binding."""
-        ancestors = self.prove_chain(level_path) if level_path else []
-        key: Digest | None = self._cert_of_id[level_path[-1]] if level_path else None
-        subtree = self._subtrees.get(key)
-        if subtree is None or subtree.size == 0:
+        ancestors = self.prove_chain(level_path)
+        subtree = self._subtrees.get(level_path[-1] if level_path else None)
+        if subtree is None or not subtree.leaves:
             return ancestors, True, 0, None, None
-        if missing in subtree.index:
+        pos, present = subtree.find(missing)
+        if present:
             raise ActuallyPresent(f"{missing.hex[:12]} is present")
-        ids = [l[0] for l in subtree.leaves]
-        pos = bisect.bisect_left(ids, missing)
         left = subtree.record(pos - 1) if pos > 0 else None
         right = subtree.record(pos) if pos < subtree.size else None
         return ancestors, False, subtree.size, left, right

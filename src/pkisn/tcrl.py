@@ -15,6 +15,7 @@ import bisect
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 
 from .crypto import (
     TAG_TCRL,
@@ -68,9 +69,8 @@ class Tcrl:
 
     def lookup(self, cert_hash: Digest) -> list[tuple[bytes, int]]:
         """All logged revocations of one certificate; empty when unlisted."""
-        keys = [e.cert_hash for e in self.entries]
-        lo = bisect.bisect_left(keys, cert_hash)
-        hi = bisect.bisect_right(keys, cert_hash)
+        lo = bisect.bisect_left(self.entries, cert_hash, key=attrgetter("cert_hash"))
+        hi = bisect.bisect_right(self.entries, cert_hash, lo, key=attrgetter("cert_hash"))
         return [(e.rev_bytes, e.reg_ts) for e in self.entries[lo:hi]]
 
     def to_json(self) -> dict:

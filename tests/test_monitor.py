@@ -8,6 +8,7 @@ from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
 from pkisn.crypto import KeyPair, KeyRole, hash_leaf
 from pkisn.log import LogConfig, LogServer, SignedRoot
 from pkisn.monitor import (
+    ITEM_FULL,
     REPORT_FORKED_ROOTS,
     REPORT_INCORRECT_CC,
     REPORT_INVALID_ENTRY,
@@ -17,6 +18,7 @@ from pkisn.monitor import (
     FullMonitor,
     GapInDelta,
     MinimizedTimeTree,
+    MonitorError,
     RootMismatch,
     UnknownTimestamp,
     build_delta,
@@ -26,6 +28,7 @@ from pkisn.monitor import (
 )
 from pkisn.revtree import cert_id_hash
 from pkisn.timetree import EntryKind, TimeTreeEntry
+from pkisn.wire import b64e
 
 from helpers import T0, YEAR, ChainFixture, make_leaf
 
@@ -483,3 +486,42 @@ def test_sync_racing_an_update_stops_at_the_signed_root():
     res = monitor.sync_from(log)
     assert res.ok and res.reports == []
     assert monitor.tree.size == log.tree.size
+
+
+UNDECODABLE_ENTRY = b"\x09" + bytes(12)  # entry kind 9 does not exist
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"level": -1}, {"level": 64}, {"index": -1}, {"payload": bytes(31)},
+     {"kind": ITEM_FULL, "payload": UNDECODABLE_ENTRY}],
+    ids=["level-1", "level64", "index-1", "short-digest", "undecodable-entry"],
+)
+def test_malformed_item_fails_closed(change, tmp_path):
+    # A delta item and a stored tile alike fail with a monitor error, and
+    # nothing of a bad delta is committed.
+    fx, log, vendor, log_key, _, _ = leaves_fixture()
+    delta = build_delta(log, 0, log.last_update_time)
+    batches = list(delta.batches)
+    items = list(batches[0].items)
+    assert (items[0].level, items[0].index) == (0, 0)
+    items[0] = replace(items[0], **change)
+    batches[0] = replace(batches[0], items=tuple(items))
+    state = MinimizedTimeTree(log_key.public_bytes)
+    with pytest.raises(MonitorError):
+        state.apply_delta(replace(delta, batches=tuple(batches)))
+    assert state.size == 0 and state.frontier == []
+
+    state.apply_delta(delta)
+    path = tmp_path / "light.json"
+    save_minimized(path, state)
+    obj = json.loads(path.read_text())
+    if "kind" in change:
+        obj["full"].append({"index": 0, "b64": b64e(change["payload"])})
+    elif "payload" in change:
+        obj["tiles"][0]["digest"] = change["payload"].hex()
+    else:
+        obj["tiles"][0].update(change)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MonitorError):
+        load_minimized(path, log_key.public_bytes)

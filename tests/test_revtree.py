@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pkisn import merkle
 from pkisn.crypto import Digest, empty_subtree_root, hash_leaf
 from pkisn.revtree import (
     ActuallyPresent,
@@ -407,3 +408,70 @@ def test_orphan_certificate_rejected():
     children.setdefault(phantom_parent, []).append(orphan)
     with pytest.raises(OrphanCertificate):
         RevForest().rebuild(registry, children)
+
+
+def test_revoking_the_last_leaf_rehashes_one_path(monkeypatch):
+    # Nodes left of the first changed leaf are kept across rebuilds, so a
+    # revocation at the right edge of 512 leaves costs one 9-level path.
+    rng = random.Random(16)
+    registry, children = synth_registry(rng, n_roots=1, n_mid=0, n_leaves=0, revs=0)
+    ca = children[None][0]
+    for _ in range(512):
+        cb = rng.randbytes(30)
+        h = hash_leaf(cb)
+        registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=300, parent=ca, revocations=[])
+        children[h] = []
+        children[ca].append(h)
+    forest = forest_of(registry, children)
+    last = max(children[ca], key=lambda h: registry[h].id_hash.value)
+    registry[last].revocations.append((b"revocation", 400))
+    calls = []
+    hash_node = merkle.hash_node
+    monkeypatch.setattr(merkle, "hash_node", lambda l, r: calls.append(1) or hash_node(l, r))
+    root = forest.rebuild(registry, children, dirty={ca, None})
+    assert len(calls) <= 2 * 9 + 4
+    assert root.value == bf_forest_root(registry, children)
+
+
+def test_incremental_records_match_fresh_forest():
+    # Every presence record and absence bracket of a forest kept across
+    # random inserts and revocations equals the one of a fresh rebuild.
+    rng = random.Random(17)
+    registry: dict[Digest, RegisteredCert] = {}
+    children: dict = {None: []}
+    forest = RevForest()
+    inserted: list[Digest] = []
+
+    def path_to(h):
+        out = [h]
+        while registry[out[0]].parent is not None:
+            out.insert(0, registry[out[0]].parent)
+        return out
+
+    for step in range(300):
+        dirty = set()
+        for _ in range(rng.randrange(1, 4)):
+            if not inserted or rng.random() < 0.7:
+                parent = None if not inserted or rng.random() < 0.1 else rng.choice(inserted)
+                cb = rng.randbytes(30)
+                h = hash_leaf(cb)
+                registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=step, parent=parent, revocations=[])
+                children[h] = []
+                children[parent].append(h)
+                inserted.append(h)
+                changed = parent
+            else:
+                target = rng.choice(inserted)
+                registry[target].revocations.append((rng.randbytes(20), step))
+                changed = registry[target].parent
+            dirty.add(changed)  # rebuild adds the ancestors
+        forest.rebuild(registry, children, dirty=dirty)
+        if step % 60 == 59:
+            fresh = forest_of(registry, children)
+            assert forest.top_root() == fresh.top_root(), step
+            for h in [None] + inserted:
+                query = [registry[x].id_hash for x in path_to(h)] if h is not None else []
+                assert forest.prove_chain(query) == fresh.prove_chain(query)
+                missing = Digest(rng.randbytes(32))
+                assert forest.prove_absence_records(query, missing) == fresh.prove_absence_records(query, missing)
+    assert len(inserted) > 300
