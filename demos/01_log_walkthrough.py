@@ -10,7 +10,7 @@ from pkisn import (
     LogConfig,
     LogServer,
     ValidationInput,
-    cert_id_hash,
+    chain_id_hashes,
     is_valid,
     make_certificate,
 )
@@ -64,10 +64,7 @@ print("first update signed; tree size:", log.tree.size)
 
 # Clients query by identity hash H(cert || registration time), walking the
 # hierarchy root-CA first.
-query = [
-    cert_id_hash(c.canonical_bytes, t) for c, t in zip(chain.certs, reversed(cc.timestamps))
-]
-proof, signed_root, pending = log.get_proof(query)
+proof, signed_root, pending = log.get_proof(chain_id_hashes(chain, cc.timestamps))
 print("proof levels:", len(proof.levels), "| pending revocations:", len(pending))
 
 verdict = is_valid(

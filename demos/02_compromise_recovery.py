@@ -17,7 +17,7 @@ from pkisn import (
     RevocationKind,
     SignerRole,
     ValidationInput,
-    cert_id_hash,
+    chain_id_hashes,
     is_valid,
     make_certificate,
     make_revocation,
@@ -52,9 +52,7 @@ log = LogServer(
 
 def validate(note):
     cc = log.submit_chain(chain)
-    query = [cert_id_hash(c.canonical_bytes, t)
-             for c, t in zip(chain.certs, reversed(cc.timestamps))]
-    proof, sr, pending = log.get_proof(query)
+    proof, sr, pending = log.get_proof(chain_id_hashes(chain, cc.timestamps))
     verdict = is_valid(ValidationInput(
         chain=chain, cc=cc, proof=proof, signed_root=sr, pending_revocations=pending,
         name="bank.example", now=log.last_update_time + 60,

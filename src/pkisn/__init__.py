@@ -37,7 +37,14 @@ from .monitor import (
     MisbehaviorReport,
     build_delta,
 )
-from .revtree import AbsenceProof, ChainPresenceProof, cert_id_hash, verify_absence, verify_chain
+from .revtree import (
+    AbsenceProof,
+    ChainPresenceProof,
+    cert_id_hash,
+    chain_id_hashes,
+    verify_absence,
+    verify_chain,
+)
 from .tcrl import Tcrl, build_tcrl, commit_tcrl, verify_tcrl
 from .timetree import (
     ConsistencyProof,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .certs import CertChain, RevocationKind, SignerRole, make_certificate, make_revocation
 from .crypto import KeyPair, KeyRole
 from .log import LogConfig, LogServer
-from .revtree import cert_id_hash
+from .revtree import chain_id_hashes
 from .validation import ValidationInput, is_valid
 
 T0 = 1_600_000_000
@@ -120,8 +120,7 @@ def run_bench(
     ):
         log.submit_revocation(CertChain((root, inter)), rev)
     log.run_update()
-    query = [cert_id_hash(c.canonical_bytes, t) for c, t in zip(chain.certs, reversed(cc.timestamps))]
-    proof, signed_root, pending = log.get_proof(query)
+    proof, signed_root, pending = log.get_proof(chain_id_hashes(chain, cc.timestamps))
     now = log.last_update_time + 1
     inp = ValidationInput(
         chain=chain, cc=cc, proof=proof, signed_root=signed_root,

@@ -11,10 +11,15 @@ certificate. A CA revocation carries a cut-off timestamp: everything the
 revoked key did at or after that instant is void, everything before stays
 valid. Who may sign which shape is fixed by a policy matrix (owner key,
 ancestor CA keys, the CA's own revocation key, or the software vendor key).
+
+Each admission rule exists once, here, for the log, the full monitor and the
+validator alike: issuance_problem (one issuer link), check_revocation_form
+and revocation_signer (a revocation's shape, then the key that signed it).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
@@ -39,7 +44,7 @@ class CertError(Exception):
 
 
 class PolicyViolation(CertError):
-    """Signer role not allowed for this target kind."""
+    """Revocation shape or signing key the policy matrix does not allow."""
 
 
 class TimestampAfterExpiry(CertError):
@@ -211,29 +216,24 @@ class CertChain:
         require_leaf=False admits chains ending at a CA certificate, as used
         when submitting a revocation of a CA.
         """
-        root = self.certs[0]
-        if not root.is_ca:
-            raise InvalidChain("root certificate must be a CA")
-        if not root.is_self_signed:
-            raise InvalidChain("root certificate must be self-signed")
-        if not verify(root.subject_public_key, TAG_CERT_ISSUE, root.tbs_bytes, root.issuer_signature):
-            raise InvalidChain("root self-signature invalid")
-        for i, cert in enumerate(self.certs[1:], start=1):
-            parent = self.certs[i - 1]
-            if not parent.is_ca:
-                raise InvalidChain(f"certificate {i - 1} issues children but is not a CA")
-            if cert.issuer_key_id != parent.subject_key_id:
-                raise InvalidChain(f"certificate {i} names a different issuer key")
-            if not verify(parent.subject_public_key, TAG_CERT_ISSUE, cert.tbs_bytes, cert.issuer_signature):
-                raise InvalidChain(f"certificate {i} signature invalid")
-        for cert in self.certs:
+        for i, cert in enumerate(self.certs):
             cert.check_fields()
-        if require_leaf:
-            if self.certs[-1].is_ca:
-                raise InvalidChain("chain must end with a non-CA certificate")
-            for cert in self.certs[:-1]:
-                if not cert.is_ca:
-                    raise InvalidChain("only the last certificate may be a non-CA")
+            problem = issuance_problem(cert, self.certs[i - 1] if i else cert)
+            if problem is not None:
+                raise InvalidChain(f"certificate {i}: {problem}")
+        if require_leaf and self.leaf.is_ca:
+            raise InvalidChain("chain must end with a non-CA certificate")
+
+
+def issuance_problem(cert: Certificate, issuer: Certificate) -> str | None:
+    """Why issuer did not issue cert, or None; a root is its own issuer."""
+    if not issuer.is_ca:
+        return "issuer is not a CA"
+    if cert.issuer_key_id != issuer.subject_key_id:
+        return "issuer key id does not match the issuer"
+    if not verify(issuer.subject_public_key, TAG_CERT_ISSUE, cert.tbs_bytes, cert.issuer_signature):
+        return "issuer signature does not verify"
+    return None
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,55 @@ def decode_revocation(data: bytes) -> RevocationMessage:
     )
 
 
+def check_revocation_form(rev: RevocationMessage, target: Certificate) -> None:
+    """Raise PolicyViolation or TimestampAfterExpiry unless the policy matrix
+    lets rev's role issue its kind, rev names target, its kind fits the target,
+    and a cut-off is present only for a CA and falls before the CA's expiry."""
+    if (rev.kind, rev.signer_role) not in ALLOWED_REVOCATIONS:
+        raise PolicyViolation(f"{rev.signer_role.name} may not issue {rev.kind.name}")
+    if rev.target_cert_hash != target.cert_hash:
+        raise PolicyViolation("revocation names another certificate")
+    if target.is_ca != (rev.kind == RevocationKind.CA_REVOKE_FROM):
+        raise PolicyViolation(f"{rev.kind.name} cannot target this certificate")
+    if target.is_ca != (rev.rev_timestamp is not None):
+        raise PolicyViolation("a CA revocation, and only one, carries a cut-off")
+    if target.is_ca and rev.rev_timestamp >= target.not_after:
+        raise TimestampAfterExpiry("cut-off must precede certificate expiry")
+
+
+def revocation_signer(
+    rev: RevocationMessage,
+    target: Certificate,
+    ancestors: Sequence[Certificate],
+    vendor_pub: bytes,
+) -> int | None:
+    """Index in ancestors (target's issuers, root first) of the one that
+    signed rev; -1 if the target's own key, its revocation key or the vendor
+    key did; None if rev is malformed or not signed by the key its role names.
+    Whether it came inside the signer's legitimacy period is not checked here.
+    """
+    try:
+        check_revocation_form(rev, target)
+    except CertError:
+        return None
+    signer = -1
+    if rev.signer_role == SignerRole.OWN_KEY:
+        key = target.subject_public_key
+    elif rev.signer_role == SignerRole.REVOCATION_KEY:
+        key = target.revocation_public_key
+        if key is None or key_id_of(key) != rev.signer_key_id:
+            return None
+    elif rev.signer_role == SignerRole.VENDOR:
+        key = vendor_pub
+    else:  # PARENT_CA: the first ancestor holding the named key
+        ids = [anc.subject_key_id for anc in ancestors]
+        if rev.signer_key_id not in ids:
+            return None
+        signer = ids.index(rev.signer_key_id)
+        key = ancestors[signer].subject_public_key
+    return signer if verify(key, rev.tag, rev.signed_payload(), rev.signature) else None
+
+
 def make_revocation(
     kind: RevocationKind,
     target: Certificate,
@@ -302,26 +351,6 @@ def make_revocation(
     signer_depth: int = 0,
 ) -> RevocationMessage:
     """Create a signed revocation message, enforcing the policy matrix."""
-    if (kind, signer_role) not in ALLOWED_REVOCATIONS:
-        raise PolicyViolation(f"{signer_role.name} may not issue {kind.name}")
-    if kind == RevocationKind.LEAF_REVOKE:
-        if target.is_ca:
-            raise PolicyViolation("leaf revocation cannot target a CA certificate")
-        if rev_timestamp is not None:
-            raise PolicyViolation("leaf revocations carry no cut-off timestamp")
-    else:
-        if not target.is_ca:
-            raise PolicyViolation("CA revocation cannot target a non-CA certificate")
-        if rev_timestamp is None:
-            raise PolicyViolation("CA revocation requires a cut-off timestamp")
-        if rev_timestamp >= target.not_after:
-            raise TimestampAfterExpiry("cut-off must precede certificate expiry")
-    if signer_role == SignerRole.REVOCATION_KEY:
-        if key_id_of(target.revocation_public_key or b"") != signer_key.key_id:
-            raise PolicyViolation("key is not the target's revocation key")
-    if signer_role == SignerRole.OWN_KEY:
-        if key_id_of(target.subject_public_key) != signer_key.key_id:
-            raise PolicyViolation("key is not the target's own key")
     msg = RevocationMessage(
         kind=kind,
         target_cert_hash=target.cert_hash,
@@ -331,6 +360,11 @@ def make_revocation(
         signer_key_id=signer_key.key_id,
         signature=Signature(signer_key.key_id, 0x01, b""),
     )
+    check_revocation_form(msg, target)
+    named = {SignerRole.OWN_KEY: target.subject_public_key,
+             SignerRole.REVOCATION_KEY: target.revocation_public_key}
+    if signer_role in named and named[signer_role] != signer_key.public_bytes:
+        raise PolicyViolation("the key does not match the one the signer role names")
     sig = signer_key.sign(msg.tag, msg.signed_payload())
     return replace(msg, signature=sig)
 
@@ -341,48 +375,12 @@ def verify_revocation(
     chain: CertChain,
     vendor_pub: bytes,
 ) -> bool:
-    """Pure predicate: is rev a well-formed, correctly signed revocation of target?
-
-    Temporal applicability (whether the revocation was issued inside its
-    signer's legitimacy period) is the validator's job, not checked here.
-    """
-    if (rev.kind, rev.signer_role) not in ALLOWED_REVOCATIONS:
-        return False
-    if rev.target_cert_hash != target.cert_hash:
-        return False
-    if rev.kind == RevocationKind.LEAF_REVOKE:
-        if target.is_ca or rev.rev_timestamp is not None:
-            return False
-    else:
-        if not target.is_ca or rev.rev_timestamp is None:
-            return False
-        if rev.rev_timestamp >= target.not_after:
-            return False
-    try:
-        idx = next(i for i, c in enumerate(chain.certs) if c.cert_hash == target.cert_hash)
-    except StopIteration:
-        return False
-
-    if rev.signer_role == SignerRole.OWN_KEY:
-        signer_pub = target.subject_public_key
-    elif rev.signer_role == SignerRole.REVOCATION_KEY:
-        if target.revocation_public_key is None:
-            return False
-        if key_id_of(target.revocation_public_key) != rev.signer_key_id:
-            return False
-        signer_pub = target.revocation_public_key
-    elif rev.signer_role == SignerRole.VENDOR:
-        signer_pub = vendor_pub
-    else:  # PARENT_CA: any proper ancestor in the chain
-        ancestor = None
-        for j in range(idx):
-            if chain.certs[j].subject_key_id == rev.signer_key_id:
-                ancestor = chain.certs[j]
-                break
-        if ancestor is None:
-            return False
-        signer_pub = ancestor.subject_public_key
-    return verify(signer_pub, rev.tag, rev.signed_payload(), rev.signature)
+    """Pure predicate: is rev a well-formed, correctly signed revocation of
+    target, a member of chain? See revocation_signer."""
+    for depth, cert in enumerate(chain.certs):
+        if cert.cert_hash == target.cert_hash:
+            return revocation_signer(rev, target, chain.certs[:depth], vendor_pub) is not None
+    return False
 
 
 def names_match(a: str, b: str) -> bool:

@@ -182,14 +182,8 @@ def cmd_validate(args):
 
 
 def cmd_update(args):
-    if getattr(args, "url", None):
-        client = HttpLogClient(args.url)
-        signed = client.run_update(args.now)
-    else:
-        config = _config(args)
-        log = open_log_from_config(config)
-        signed = log.run_update(args.now)
-    _print({"signed_root": signed.to_json()})
+    target, _ = _log_or_client(args)
+    _print({"signed_root": target.run_update(args.now).to_json()})
 
 
 def cmd_monitor_sync(args):

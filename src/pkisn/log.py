@@ -302,7 +302,7 @@ class LogServer(LogState):
         self.pending_set: set[Digest] = set()
         self.pending_revs: list[RevocationMessage] = []
         self.pending_tcrls: list[Digest] = []
-        self.rk_revocations: dict[Digest, Digest] = {}  # target cert -> rev hash
+        self.rk_revocations: set[Digest] = set()  # targets whose revocation key was used
         self.updates: list[UpdateRecord] = []
         self.last_update_time = start_time
         self._journal = journal
@@ -393,7 +393,7 @@ class LogServer(LogState):
         if rev.signer_role == SignerRole.REVOCATION_KEY:
             if h in self.rk_revocations:
                 raise DuplicateRkRevocation("the revocation key was already used for this certificate")
-            self.rk_revocations[h] = rev.rev_hash
+            self.rk_revocations.add(h)
         self.pending_revs.append(rev)
         if self._journal is not None:
             self._journal.append(jr.REC_REVOCATION, rev.canonical_bytes)

@@ -18,6 +18,7 @@ answer membership and revocation-status queries, and verify client proofs.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import takewhile
@@ -29,9 +30,10 @@ from .certs import (
     SignerRole,
     decode_certificate,
     decode_revocation,
-    verify_revocation,
+    issuance_problem,
+    revocation_signer,
 )
-from .crypto import TAG_CERT_ISSUE, Digest, hash_leaf, verify
+from .crypto import Digest, hash_leaf
 from .log import ChainCommitment, LogState, RevocationCommitment, SignedRoot
 from .merkle import Node, fold, push
 from .timetree import EntryKind, TimeTreeEntry
@@ -184,7 +186,7 @@ class FullMonitor(LogState):
             target = rev.target_cert_hash
             if target not in self.registry:
                 return self._invalid(entry, index, "revocation of an unlogged certificate")
-            if not verify_revocation(rev, self.certs[target], self._chain_to(target), self.vendor_pub):
+            if revocation_signer(rev, self.certs[target], self._ancestors(target), self.vendor_pub) is None:
                 why = "revocation fails verification"
             elif rev.signer_role == SignerRole.REVOCATION_KEY and target in self.rk_used:
                 why = "second use of a single-use revocation key"
@@ -209,12 +211,7 @@ class FullMonitor(LogState):
             if cert.is_self_signed:
                 return "self-signed root outside the trust set"
             return "issuer key unknown to the log"
-        parent = self.certs[parent_hash]
-        if not parent.is_ca:
-            return "issuer is not a CA"
-        if not verify(parent.subject_public_key, TAG_CERT_ISSUE, cert.tbs_bytes, cert.issuer_signature):
-            return "issuer signature does not verify"
-        return None
+        return issuance_problem(cert, self.certs[parent_hash])
 
     def _invalid(self, entry: TimeTreeEntry, index: int, why: str, **extra) -> MisbehaviorReport:
         return MisbehaviorReport(
@@ -222,14 +219,14 @@ class FullMonitor(LogState):
             {"entry": b64e(entry.encode()), "why": why, "at_index": index, **extra},
         )
 
-    def _chain_to(self, cert_hash: Digest) -> CertChain:
-        hashes = [cert_hash]
-        while True:
-            parent = self.registry[hashes[0]].parent
-            if parent is None:
-                break
-            hashes.insert(0, parent)
-        return CertChain(tuple(self.certs[h] for h in hashes))
+    def _ancestors(self, cert_hash: Digest) -> list[Certificate]:
+        """The certificates a registered one hangs under, root first."""
+        out: list[Certificate] = []
+        parent = self.registry[cert_hash].parent
+        while parent is not None:
+            out.append(self.certs[parent])
+            parent = self.registry[parent].parent
+        return out[::-1]
 
     # -- checks serving clients ---------------------------------------------
 
@@ -557,15 +554,23 @@ def _extend(frontier: list[Node], start: int, tiles: list[Node]) -> int:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Replace path with data; a crash leaves the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_full_monitor(state_dir: Path, monitor: FullMonitor) -> None:
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    with open(state_dir / "entries.bin", "wb") as f:
-        for i in range(monitor.tree.size):
-            raw = monitor.tree.entry(i).encode()
-            f.write(len(raw).to_bytes(4, "big") + raw)
+    frames = bytearray()
+    for entry in monitor.tree.entries(0):
+        raw = entry.encode()
+        frames += len(raw).to_bytes(4, "big") + raw
+    _write_atomically(state_dir / "entries.bin", bytes(frames))
     roots = {str(ts): sr.to_json() for ts, sr in monitor.signed_roots.items()}
-    (state_dir / "roots.json").write_text(json.dumps(roots) + "\n")
+    _write_atomically(state_dir / "roots.json", (json.dumps(roots) + "\n").encode())
 
 
 def load_full_monitor(
@@ -574,21 +579,25 @@ def load_full_monitor(
     log_pub: bytes,
     vendor_pub: bytes,
 ) -> FullMonitor:
-    """Rebuild a replica from disk, re-running the full verification pass."""
+    """Rebuild a replica from disk, re-running the full verification pass;
+    a torn or malformed state fails with MonitorError."""
     state_dir = Path(state_dir)
     monitor = FullMonitor(trust_roots, log_pub, vendor_pub)
-    roots = {
-        int(k): SignedRoot.from_json(v)
-        for k, v in json.loads((state_dir / "roots.json").read_text()).items()
-    }
-    data = (state_dir / "entries.bin").read_bytes()
-    off = 0
     entries: list[TimeTreeEntry] = []
-    while off + 4 <= len(data):
-        length = int.from_bytes(data[off : off + 4], "big")
-        entries.append(TimeTreeEntry.decode(data[off + 4 : off + 4 + length]))
-        off += 4 + length
+    try:
+        stored = json.loads((state_dir / "roots.json").read_text())
+        roots = {int(k): SignedRoot.from_json(v) for k, v in stored.items()}
+        data = (state_dir / "entries.bin").read_bytes()
+        off = 0
+        while off < len(data):
+            end = off + 4 + int.from_bytes(data[off : off + 4], "big")
+            entries.append(TimeTreeEntry.decode(data[off + 4 : end]))
+            off = end
+    except (AttributeError, KeyError, TypeError, ValueError, DecodeError) as e:
+        raise MonitorError(f"malformed monitor state: {e}") from e
     if entries:
+        if not roots:
+            raise MonitorError("stored replica has no signed root")
         latest = roots[max(roots)]
         monitor.full_sync(entries, latest)
         if monitor.tree.root() != latest.root:

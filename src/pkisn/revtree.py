@@ -18,6 +18,7 @@ the first changed leaf on and reuse everything left of it, as history trees do.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,6 +68,12 @@ class RegisteredCert:
 def cert_id_hash(cert_bytes: bytes, reg_ts: int) -> Digest:
     """Identity of a logged certificate: hash of its bytes and registration time."""
     return hash_leaf(cert_bytes + u64(reg_ts))
+
+
+def chain_id_hashes(chain: CertChain, cc_timestamps: Sequence[int]) -> list[Digest]:
+    """Identity hashes of a chain, root CA first, from its commitment's
+    timestamps (leaf first, as committed): the query for its proof."""
+    return [cert_id_hash(c.canonical_bytes, t) for c, t in zip(chain.certs, reversed(cc_timestamps))]
 
 
 def rev_leaf_hash(
@@ -350,11 +357,8 @@ def verify_chain(
     (leaf first, as committed), and a signed root."""
     if len(proof.levels) != len(chain.certs) or len(cc_timestamps) != len(chain.certs):
         return False
-    ts_root_first = list(reversed(cc_timestamps))
-    for k, rec in enumerate(proof.levels):
-        expected = cert_id_hash(chain.certs[k].canonical_bytes, ts_root_first[k])
-        if rec.id_hash != expected:
-            return False
+    if [rec.id_hash for rec in proof.levels] != chain_id_hashes(chain, cc_timestamps):
+        return False
     top_root = _chain_levels_root(proof.levels)
     if top_root is None:
         return False

@@ -26,7 +26,7 @@ from .certs import (
 )
 from .crypto import KeyPair, KeyRole
 from .log import LogConfig, LogError, LogServer
-from .revtree import cert_id_hash
+from .revtree import chain_id_hashes
 from .validation import ValidationInput, is_valid
 
 DEFAULT_START = 1_600_000_000
@@ -222,11 +222,7 @@ class ScenarioRunner:
         cc = self.ccs.get(event.get("cc", event["chain"][-1]))
         if cc is None:
             cc = self.log.submit_chain(chain)
-        query = [
-            cert_id_hash(c.canonical_bytes, t)
-            for c, t in zip(chain.certs, reversed(cc.timestamps))
-        ]
-        proof, signed_root, pending = self.log.get_proof(query)
+        proof, signed_root, pending = self.log.get_proof(chain_id_hashes(chain, cc.timestamps))
         now = self.clock + int(event.get("now_offset", 1))
         self.last_verdict = is_valid(
             ValidationInput(

@@ -31,7 +31,7 @@ from .log import (
     UnknownLeaf,
 )
 from .monitor import DeltaUpdate, build_delta
-from .revtree import ChainPresenceProof, cert_id_hash
+from .revtree import ChainPresenceProof, chain_id_hashes
 from .tcrl import Tcrl, commit_tcrl
 from .timetree import ConsistencyProof, TimeTreeEntry, entry_from_json, entry_to_json
 from .validation import Reason, ValidationInput, ValidationResult, is_valid
@@ -390,10 +390,7 @@ class ServerSession:
         self.pending: list[PendingRevocation] = []
 
     def refresh(self, log_access) -> None:
-        query = [
-            cert_id_hash(c.canonical_bytes, t)
-            for c, t in zip(self.chain.certs, reversed(self.cc.timestamps))
-        ]
+        query = chain_id_hashes(self.chain, self.cc.timestamps)
         self.proof, self.signed_root, self.pending = log_access.get_proof(query)
 
     def bundle(self) -> HandshakeBundle:

@@ -47,6 +47,23 @@ class TcrlEntry:
         return cls(Digest.from_hex(obj["cert_hash"]), b64d(obj["rev_bytes"]), obj["reg_ts"])
 
 
+def _sorted(entries) -> tuple[TcrlEntry, ...]:
+    """The one order of bundle entries: by target, then time, then bytes."""
+    return tuple(sorted(entries, key=attrgetter("cert_hash", "reg_ts", "rev_bytes")))
+
+
+def _sig_json(sig: Signature | None) -> str | None:
+    return b64e(sig.encode()) if sig else None
+
+
+def _sig_from_json(text: str | None) -> Signature | None:
+    return Signature.read_from(Reader(b64d(text))) if text else None
+
+
+def _vendor_signed(vendor_pub: bytes, signed: Tcrl | TcrlDelta, sig: Signature | None) -> bool:
+    return sig is not None and verify(vendor_pub, TAG_TCRL, signed.signing_bytes(), sig)
+
+
 @dataclass(frozen=True)
 class Tcrl:
     version: int
@@ -78,7 +95,7 @@ class Tcrl:
             "version": self.version,
             "issued_at": self.issued_at,
             "entries": [e.to_json() for e in self.entries],
-            "vendor_sig": b64e(self.vendor_signature.encode()) if self.vendor_signature else None,
+            "vendor_sig": _sig_json(self.vendor_signature),
             "log_commitment": self.log_commitment.to_json() if self.log_commitment else None,
             "inclusion": (
                 {
@@ -102,9 +119,7 @@ class Tcrl:
             version=obj["version"],
             issued_at=obj["issued_at"],
             entries=tuple(TcrlEntry.from_json(e) for e in obj["entries"]),
-            vendor_signature=(
-                Signature.read_from(Reader(b64d(obj["vendor_sig"]))) if obj.get("vendor_sig") else None
-            ),
+            vendor_signature=_sig_from_json(obj.get("vendor_sig")),
             log_commitment=(
                 RevocationCommitment.from_json(obj["log_commitment"]) if obj.get("log_commitment") else None
             ),
@@ -119,23 +134,15 @@ class Tcrl:
         return cls.from_json(json.loads(text))
 
 
-def _collect_entries(state: LogState, now: int) -> list[TcrlEntry]:
-    """Revocations of revoked, non-expired certificates."""
-    out: list[TcrlEntry] = []
-    for cert_hash, rec in state.registry.items():
-        if not rec.revocations:
-            continue
-        if rec.not_after <= now:
-            continue
-        for rev_bytes, reg_ts in rec.revocations:
-            out.append(TcrlEntry(cert_hash=cert_hash, rev_bytes=rev_bytes, reg_ts=reg_ts))
-    out.sort(key=lambda e: (e.cert_hash, e.reg_ts, e.rev_bytes))
-    return out
-
-
 def build_tcrl(state: LogState, vendor_key: KeyPair, now: int, version: int = 1) -> Tcrl:
-    """Deterministic bundle over the given synchronized state."""
-    entries = tuple(_collect_entries(state, now))
+    """Deterministic bundle over the given synchronized state: the
+    revocations of revoked, non-expired certificates."""
+    entries = _sorted(
+        TcrlEntry(cert_hash, rev_bytes, reg_ts)
+        for cert_hash, rec in state.registry.items()
+        if rec.not_after > now
+        for rev_bytes, reg_ts in rec.revocations
+    )
     unsigned = Tcrl(version=version, issued_at=now, entries=entries)
     sig = vendor_key.sign(TAG_TCRL, unsigned.signing_bytes())
     return replace(unsigned, vendor_signature=sig)
@@ -145,21 +152,23 @@ def commit_tcrl(log: LogServer, tcrl: Tcrl) -> Tcrl:
     """Queue the bundle's hash in the log; returns the bundle carrying the
     log's commitment."""
     vendor_pub = log.config.vendor_public_key
-    if tcrl.vendor_signature is None or not verify(
-        vendor_pub, TAG_TCRL, tcrl.signing_bytes(), tcrl.vendor_signature
-    ):
+    if not _vendor_signed(vendor_pub, tcrl, tcrl.vendor_signature):
         raise BadVendorSignature("bundle is not validly vendor-signed")
     commitment = log.submit_tcrl_hash(tcrl.tcrl_hash)
     return replace(tcrl, log_commitment=commitment)
 
 
 def attach_inclusion(log: LogServer, tcrl: Tcrl) -> Tcrl:
-    """After an update, swap the bare commitment for an inclusion proof."""
-    entry = TimeTreeEntry(EntryKind.TCRL, tcrl.tcrl_hash.value, tcrl.log_commitment.timestamp)
-    target = entry.leaf_hash
-    for idx in range(log.tree.size):
-        if log.tree.leaf_hash(idx) == target:
-            proof = log.tree.inclusion_proof(idx, log.latest.tree_size)
+    """After an update, swap the bare commitment for an inclusion proof.
+    Only the entries of the update at the committed time are searched."""
+    ts = tcrl.log_commitment.timestamp
+    entry = TimeTreeEntry(EntryKind.TCRL, tcrl.tcrl_hash.value, ts)
+    at = bisect.bisect_left(log.updates, ts, key=attrgetter("timestamp"))
+    if at < len(log.updates) and log.updates[at].timestamp == ts:
+        start = log.updates[at - 1].tree_size if at else 0
+        batch = log.tree.entries(start, log.updates[at].tree_size)
+        if entry in batch:
+            proof = log.tree.inclusion_proof(start + batch.index(entry), log.latest.tree_size)
             return replace(tcrl, inclusion=(proof, log.latest.signed_root))
     raise LookupError("bundle entry not found in the log")
 
@@ -175,9 +184,7 @@ def verify_tcrl(
     With require_inclusion=False a signed commitment suffices; otherwise the
     bundle must carry an inclusion proof against a signed root.
     """
-    if tcrl.vendor_signature is None:
-        return False
-    if not verify(vendor_pub, TAG_TCRL, tcrl.signing_bytes(), tcrl.vendor_signature):
+    if not _vendor_signed(vendor_pub, tcrl, tcrl.vendor_signature):
         return False
     if tcrl.inclusion is not None:
         proof, signed_root = tcrl.inclusion
@@ -201,7 +208,9 @@ def verify_tcrl(
 @dataclass(frozen=True)
 class TcrlDelta:
     """Version-to-version difference: new revocation entries plus entries
-    dropped because their certificate expired."""
+    dropped because their certificate expired. It carries the vendor's
+    signature over the bundle it produces, so a client holding only the
+    vendor's public key can rebuild that bundle exactly."""
 
     from_version: int
     to_version: int
@@ -209,6 +218,7 @@ class TcrlDelta:
     added: tuple[TcrlEntry, ...]
     removed: tuple[TcrlEntry, ...]
     vendor_signature: Signature | None = None
+    bundle_signature: Signature | None = None
 
     def signing_bytes(self) -> bytes:
         out = u64(self.from_version) + u64(self.to_version) + u64(self.issued_at)
@@ -227,7 +237,8 @@ class TcrlDelta:
             "issued_at": self.issued_at,
             "added": [e.to_json() for e in self.added],
             "removed": [e.to_json() for e in self.removed],
-            "vendor_sig": b64e(self.vendor_signature.encode()) if self.vendor_signature else None,
+            "vendor_sig": _sig_json(self.vendor_signature),
+            "bundle_sig": _sig_json(self.bundle_signature),
         }
 
     @classmethod
@@ -238,38 +249,34 @@ class TcrlDelta:
             issued_at=obj["issued_at"],
             added=tuple(TcrlEntry.from_json(e) for e in obj["added"]),
             removed=tuple(TcrlEntry.from_json(e) for e in obj["removed"]),
-            vendor_signature=(
-                Signature.read_from(Reader(b64d(obj["vendor_sig"]))) if obj.get("vendor_sig") else None
-            ),
+            vendor_signature=_sig_from_json(obj.get("vendor_sig")),
+            bundle_signature=_sig_from_json(obj.get("bundle_sig")),
         )
 
 
 def build_tcrl_delta(old: Tcrl, state: LogState, vendor_key: KeyPair, now: int) -> TcrlDelta:
-    new_entries = _collect_entries(state, now)
-    old_set = set(old.entries)
-    new_set = set(new_entries)
+    new = build_tcrl(state, vendor_key, now, version=old.version + 1)
+    old_set, new_set = set(old.entries), set(new.entries)
     delta = TcrlDelta(
         from_version=old.version,
-        to_version=old.version + 1,
+        to_version=new.version,
         issued_at=now,
-        added=tuple(sorted(new_set - old_set, key=lambda e: (e.cert_hash, e.reg_ts, e.rev_bytes))),
-        removed=tuple(sorted(old_set - new_set, key=lambda e: (e.cert_hash, e.reg_ts, e.rev_bytes))),
+        added=_sorted(new_set - old_set),
+        removed=_sorted(old_set - new_set),
+        bundle_signature=new.vendor_signature,
     )
-    sig = vendor_key.sign(TAG_TCRL, delta.signing_bytes())
-    return replace(delta, vendor_signature=sig)
+    return replace(delta, vendor_signature=vendor_key.sign(TAG_TCRL, delta.signing_bytes()))
 
 
-def apply_tcrl_delta(old: Tcrl, delta: TcrlDelta, vendor_key: KeyPair, vendor_pub: bytes) -> Tcrl:
-    """Reconstruct the next full bundle from a delta; the result is signed
-    fresh so it is byte-identical to a directly built bundle."""
+def apply_tcrl_delta(old: Tcrl, delta: TcrlDelta, vendor_pub: bytes) -> Tcrl:
+    """Reconstruct the next full bundle from a delta with public keys only;
+    the result is byte-identical to the bundle the vendor built directly."""
     if delta.from_version != old.version:
         raise ValueError("delta does not extend this bundle version")
-    if delta.vendor_signature is None or not verify(
-        vendor_pub, TAG_TCRL, delta.signing_bytes(), delta.vendor_signature
-    ):
+    if not _vendor_signed(vendor_pub, delta, delta.vendor_signature):
         raise BadVendorSignature("delta is not validly vendor-signed")
-    entries = (set(old.entries) - set(delta.removed)) | set(delta.added)
-    merged = tuple(sorted(entries, key=lambda e: (e.cert_hash, e.reg_ts, e.rev_bytes)))
+    merged = _sorted((set(old.entries) - set(delta.removed)) | set(delta.added))
     unsigned = Tcrl(version=delta.to_version, issued_at=delta.issued_at, entries=merged)
-    sig = vendor_key.sign(TAG_TCRL, unsigned.signing_bytes())
-    return replace(unsigned, vendor_signature=sig)
+    if not _vendor_signed(vendor_pub, unsigned, delta.bundle_signature):
+        raise BadVendorSignature("the vendor did not sign the bundle this delta produces")
+    return replace(unsigned, vendor_signature=delta.bundle_signature)

@@ -152,9 +152,6 @@ class TimeTree:
         """Maximal aligned nodes tiling entries [lo, hi), left to right."""
         return self._store.cover(lo, hi)
 
-    def leaf_hash(self, index: int) -> Digest:
-        return self.entry(index).leaf_hash
-
     def inclusion_proof(self, index: int, tree_size: int | None = None) -> InclusionProof:
         tree_size = self.size if tree_size is None else tree_size
         if not 0 <= index < tree_size <= self.size:

@@ -14,6 +14,11 @@ revocation only applies if it was registered during that parent's own
 legitimacy period, so a revoked CA cannot maliciously revoke its children.
 Leaf certificates know only two states (revoked or not): the earliest
 applicable revocation's registration time ends the period.
+
+A message has force only if certs.revocation_signer accepts it, the check the
+log and the full monitor admit it by; a pending one also needs the log's
+commitment. The proof path (is_valid) and the bundle path (validate_with_tcrl)
+bind the chain to its commitment through the same _commitment_reason.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ from enum import Enum
 from .certs import (
     CertChain,
     Certificate,
-    RevocationKind,
     RevocationMessage,
     SignerRole,
     decode_revocation,
     pre_validate,
+    revocation_signer,
 )
-from .crypto import Digest, verify
+from .crypto import Digest
 from .log import ChainCommitment, PendingRevocation, SignedRoot
 from .revtree import ChainPresenceProof, verify_chain
 
@@ -142,6 +147,15 @@ class _Rev:
     pending: bool = False
 
 
+# Cause of a revocation that has force, by its signer's role.
+_ROLE_CAUSE = {
+    SignerRole.VENDOR: Cause.VENDOR_REV,
+    SignerRole.REVOCATION_KEY: Cause.RK_REV,
+    SignerRole.PARENT_CA: Cause.PARENT_REV,
+    SignerRole.OWN_KEY: Cause.OWN_REV,
+}
+
+
 def _applicable_class(
     rev: _Rev,
     cert: Certificate,
@@ -150,44 +164,14 @@ def _applicable_class(
     vendor_pub: bytes,
 ) -> Cause | None:
     """Classify one revocation against a certificate; None if it has no force."""
-    msg = rev.msg
-    if msg.target_cert_hash != cert.cert_hash:
+    signer = revocation_signer(rev.msg, cert, ancestors, vendor_pub)
+    if signer is None:
         return None
-    expected_kind = RevocationKind.CA_REVOKE_FROM if cert.is_ca else RevocationKind.LEAF_REVOKE
-    if msg.kind != expected_kind:
+    # A parent's revocation counts only if registered inside the parent's
+    # own legitimacy period.
+    if signer >= 0 and not ancestor_lps[signer].contains(rev.reg_ts):
         return None
-    if msg.kind == RevocationKind.CA_REVOKE_FROM:
-        if msg.rev_timestamp is None or msg.rev_timestamp >= cert.not_after:
-            return None
-    payload, tag = msg.signed_payload(), msg.tag
-
-    if msg.signer_role == SignerRole.VENDOR:
-        if verify(vendor_pub, tag, payload, msg.signature):
-            return Cause.VENDOR_REV
-        return None
-    if msg.signer_role == SignerRole.REVOCATION_KEY:
-        if not cert.is_ca or cert.revocation_public_key is None:
-            return None
-        if verify(cert.revocation_public_key, tag, payload, msg.signature):
-            return Cause.RK_REV
-        return None
-    if msg.signer_role == SignerRole.PARENT_CA:
-        for anc, anc_lp in zip(ancestors, ancestor_lps):
-            if anc.subject_key_id != msg.signer_key_id:
-                continue
-            if not verify(anc.subject_public_key, tag, payload, msg.signature):
-                return None
-            # A parent's revocation counts only if registered inside the
-            # parent's own legitimacy period.
-            return Cause.PARENT_REV if anc_lp.contains(rev.reg_ts) else None
-        return None
-    if msg.signer_role == SignerRole.OWN_KEY:
-        if cert.is_ca:
-            return None
-        if verify(cert.subject_public_key, tag, payload, msg.signature):
-            return Cause.OWN_REV
-        return None
-    return None
+    return _ROLE_CAUSE[rev.msg.signer_role]
 
 
 def _determine_lp(
@@ -257,6 +241,19 @@ def determine_lp_leaf(
     return _determine_lp(cert, t_x, revs, ancestors, ancestor_lps, vendor_pub)
 
 
+def _commitment_reason(cc: ChainCommitment, chain: CertChain, log_pub: bytes) -> Reason | None:
+    """Does the log's commitment bind this chain? It must carry the log's
+    signature, name the leaf, and hold one timestamp per certificate,
+    non-increasing from leaf to root."""
+    if not cc.verify(log_pub):
+        return Reason.BAD_SIGNATURE
+    ts = cc.timestamps
+    ordered = all(a >= b for a, b in zip(ts, ts[1:]))
+    if cc.leaf_cert_hash != chain.leaf.cert_hash or len(ts) != len(chain.certs) or not ordered:
+        return Reason.PROOF_MISMATCH
+    return None
+
+
 def _verify_proofs_reason(
     signed_root: SignedRoot,
     proof: ChainPresenceProof,
@@ -266,20 +263,14 @@ def _verify_proofs_reason(
     max_root_age: int,
     now: int,
 ) -> Reason | None:
-    if not cc.verify(log_pub):
-        return Reason.BAD_SIGNATURE
     if not signed_root.verify(log_pub):
         return Reason.BAD_SIGNATURE
-    if cc.leaf_cert_hash != chain.leaf.cert_hash:
-        return Reason.PROOF_MISMATCH
-    if len(cc.timestamps) != len(chain.certs):
-        return Reason.PROOF_MISMATCH
-    ts = list(cc.timestamps)
-    if any(ts[i] < ts[i + 1] for i in range(len(ts) - 1)):
-        return Reason.PROOF_MISMATCH  # must be non-increasing leaf to root
+    reason = _commitment_reason(cc, chain, log_pub)
+    if reason is not None:
+        return reason
     if now - signed_root.timestamp > max_root_age:
         return Reason.STALE_ROOT
-    if not verify_chain(chain, ts, proof, signed_root):
+    if not verify_chain(chain, cc.timestamps, proof, signed_root):
         return Reason.PROOF_MISMATCH
     return None
 
@@ -301,12 +292,13 @@ def verify_proofs(
 
 def _decide(
     chain: CertChain,
-    ts_root_first: list[int],
+    cc: ChainCommitment,
     revs_per_cert: list[list[_Rev]],
     now: int,
     vendor_pub: bytes,
 ) -> ValidationResult:
     """Shared legitimacy-period walk, root CA first."""
+    ts_root_first = cc.timestamps[::-1]
     lps: list[LegitimacyPeriod] = []
     verdicts: list[CertVerdict] = []
     for k, cert in enumerate(chain.certs):
@@ -337,20 +329,20 @@ def is_valid(inp: ValidationInput) -> ValidationResult:
     if reason is not None:
         return ValidationResult(False, reason)
 
-    ts_root_first = list(reversed(inp.cc.timestamps))
+    # Not yet merged: a pending revocation the log committed to counts at
+    # once, so it takes effect without waiting out the scheduling period.
+    # One the log never signed for does not count at all.
+    pending = [
+        p for p in inp.pending_revocations
+        if p.commitment.rev_hash == p.revocation.rev_hash and p.commitment.verify(inp.log_pub)
+    ]
     revs_per_cert: list[list[_Rev]] = []
-    for k, cert in enumerate(inp.chain.certs):
-        revs = [
-            _Rev(decode_revocation(rb), reg_ts)
-            for rb, reg_ts in inp.proof.levels[k].revocations
-        ]
-        for p in inp.pending_revocations:
-            if p.revocation.target_cert_hash == cert.cert_hash:
-                # Not yet merged: honor it immediately so a fresh revocation
-                # takes effect without waiting out the scheduling period.
-                revs.append(_Rev(p.revocation, inp.now, pending=True))
+    for cert, level in zip(inp.chain.certs, inp.proof.levels):
+        revs = [_Rev(decode_revocation(rb), reg_ts) for rb, reg_ts in level.revocations]
+        revs += [_Rev(p.revocation, inp.now, pending=True) for p in pending
+                 if p.revocation.target_cert_hash == cert.cert_hash]
         revs_per_cert.append(revs)
-    return _decide(inp.chain, ts_root_first, revs_per_cert, inp.now, inp.vendor_pub)
+    return _decide(inp.chain, inp.cc, revs_per_cert, inp.now, inp.vendor_pub)
 
 
 def validate_with_tcrl(
@@ -367,13 +359,11 @@ def validate_with_tcrl(
     presence proof; the bundle must have been verified beforehand."""
     if not pre_validate(chain, name, trust_roots, now):
         return ValidationResult(False, Reason.PRE_VALIDATE_FAIL)
-    if not cc.verify(log_pub):
-        return ValidationResult(False, Reason.BAD_SIGNATURE)
-    if cc.leaf_cert_hash != chain.leaf.cert_hash or len(cc.timestamps) != len(chain.certs):
-        return ValidationResult(False, Reason.PROOF_MISMATCH)
-    ts_root_first = list(reversed(cc.timestamps))
+    reason = _commitment_reason(cc, chain, log_pub)
+    if reason is not None:
+        return ValidationResult(False, reason)
     revs_per_cert = [
         [_Rev(decode_revocation(rb), reg_ts) for rb, reg_ts in tcrl.lookup(cert.cert_hash)]
         for cert in chain.certs
     ]
-    return _decide(chain, ts_root_first, revs_per_cert, now, vendor_pub)
+    return _decide(chain, cc, revs_per_cert, now, vendor_pub)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,9 @@ from pkisn.certs import (
     verify_revocation,
 )
 from pkisn.crypto import KeyPair, KeyRole
+from pkisn.validation import Cause, LegitimacyPeriod, determine_lp_ca, determine_lp_leaf
 
-from helpers import T0, YEAR, ChainFixture, ca_keys, make_leaf, make_root
+from helpers import DAY, T0, YEAR, ChainFixture, ca_keys, make_ca, make_leaf, make_root
 
 # Golden canonical encoding of a fixed certificate, frozen after the first
 # correct encode (seed keys make the fixture reproducible).
@@ -220,3 +222,62 @@ def test_pre_validate_expired_leaf():
     roots = {fx.root.cert_hash}
     assert not pre_validate(fx.chain, "example.com", roots, fx.leaf.not_after + 1)
     assert not pre_validate(fx.chain, "example.com", roots, T0 - 1)
+
+
+def test_non_ca_mid_chain_rejected_with_or_without_leaf_requirement():
+    fx = ChainFixture()
+    below = make_leaf("below.example", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.leaf_key, serial=9)
+    chain = CertChain((fx.root, fx.inter, fx.leaf, below))
+    for require_leaf in (True, False):
+        with pytest.raises(InvalidChain):
+            chain.verify_structure(require_leaf=require_leaf)
+
+
+REVOCATION_MUTATIONS = ["none", "another-target", "cut-off-at-expiry", "altered-key-id", "foreign-signature"]
+
+
+@pytest.mark.parametrize("mutation", REVOCATION_MUTATIONS)
+@pytest.mark.parametrize(
+    "kind,role", sorted(ALLOWED_REVOCATIONS), ids=lambda v: v.name.lower()
+)
+def test_log_admits_exactly_what_the_validator_applies(kind, role, mutation):
+    # The log and the full monitor admit a revocation through
+    # verify_revocation; the validator must give exactly those force.
+    fx = ChainFixture()
+    vendor = KeyPair.generate(KeyRole.VENDOR)
+    is_ca = kind == RevocationKind.CA_REVOKE_FROM
+    target = fx.inter if is_ca else fx.leaf
+    keys = {
+        SignerRole.OWN_KEY: fx.leaf_key,
+        SignerRole.PARENT_CA: fx.root_key if is_ca else fx.inter_key,
+        SignerRole.REVOCATION_KEY: fx.inter_rk,
+        SignerRole.VENDOR: vendor,
+    }
+    rev = make_revocation(kind, target, keys[role], role, rev_timestamp=T0 + YEAR if is_ca else None)
+    chain = fx.chain
+    if mutation == "another-target":
+        if is_ca:
+            target = make_ca("Sibling CA", *ca_keys(), issuer_key=fx.root_key, serial=7)
+            chain = CertChain((fx.root, target))
+        else:
+            sibling_key = KeyPair.generate(KeyRole.STANDARD_LEAF)
+            target = make_leaf("sibling.example", sibling_key, fx.inter_key, serial=8)
+            chain = CertChain((fx.root, fx.inter, target))
+    elif mutation == "cut-off-at-expiry":
+        rev = replace(rev, rev_timestamp=target.not_after)
+    elif mutation == "altered-key-id":
+        rev = replace(rev, signer_key_id=KeyPair.generate(KeyRole.STANDARD_CA).key_id)
+    elif mutation == "foreign-signature":
+        stranger = KeyPair.generate(keys[role].role)
+        rev = replace(rev, signature=stranger.sign(rev.tag, rev.signed_payload()))
+
+    accepted = verify_revocation(rev, target, chain, vendor.public_bytes)
+    depth = chain.certs.index(target)
+    open_lp = LegitimacyPeriod(T0, T0 + 100 * YEAR, Cause.UNREVOKED)
+    determine_lp = determine_lp_ca if is_ca else determine_lp_leaf
+    lp = determine_lp(
+        target, T0, [(rev, T0 + DAY)], list(chain.certs[:depth]), [open_lp] * depth, vendor.public_bytes
+    )
+    assert accepted == (lp.cause != Cause.UNREVOKED)
+    if mutation in ("none", "another-target", "cut-off-at-expiry", "foreign-signature"):
+        assert accepted == (mutation == "none")

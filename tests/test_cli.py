@@ -189,3 +189,44 @@ def test_bench_smoke(workspace):
     assert out["registrations_per_second"] > 0
     assert out["update_seconds"] >= 0
     assert out["validation_ms_mean"] > 0
+
+
+def test_second_monitor_sync_resumes_from_saved_state(workspace):
+    # The second sync loads the replica the first one saved, re-verifies it,
+    # and extends it with the update made in between.
+    tmp = workspace
+    import socket
+    import time
+    import urllib.request
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    config = json.loads((tmp / "config.json").read_text())
+    config["listen_address"] = f"127.0.0.1:{port}"
+    (tmp / "config_resync.json").write_text(json.dumps(config))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pkisn.cli", "--config", str(tmp / "config_resync.json"), "serve"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+    url = f"http://127.0.0.1:{port}"
+    sync = ["monitor", "sync", "--url", url, "--state", str(tmp / "resync"),
+            "--trust-roots", str(tmp / "roots.json"),
+            "--log-pub", str(tmp / "log.pub"), "--vendor-pub", str(tmp / "vendor.pub")]
+    try:
+        deadline = time.time() + 10
+        while time.time() < deadline:
+            try:
+                urllib.request.urlopen(url + "/v1/entries?from=0")
+                break
+            except Exception:
+                time.sleep(0.05)
+        first = run_cli(sync)
+        assert first["ok"] is True and first["size"] > 0
+        run_cli(["update", "--url", url])
+        second = run_cli(sync)
+        assert second["ok"] is True and second["size"] > first["size"]
+        assert run_cli(sync)["size"] == second["size"]
+    finally:
+        proc.kill()
+        proc.wait()

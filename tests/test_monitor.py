@@ -1,11 +1,12 @@
 import json
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
-from pkisn.crypto import KeyPair, KeyRole, hash_leaf
+from pkisn.crypto import TAG_CERT_ISSUE, KeyPair, KeyRole, hash_leaf
 from pkisn.log import LogConfig, LogServer, SignedRoot
 from pkisn.monitor import (
     ITEM_FULL,
@@ -22,7 +23,9 @@ from pkisn.monitor import (
     RootMismatch,
     UnknownTimestamp,
     build_delta,
+    load_full_monitor,
     load_minimized,
+    save_full_monitor,
     save_minimized,
     verify_fork_report,
 )
@@ -30,7 +33,7 @@ from pkisn.revtree import cert_id_hash
 from pkisn.timetree import EntryKind, TimeTreeEntry
 from pkisn.wire import b64e
 
-from helpers import T0, YEAR, ChainFixture, make_leaf
+from helpers import T0, YEAR, ChainFixture, ca_keys, make_leaf, make_root
 
 PERIOD = 3600
 
@@ -525,3 +528,84 @@ def test_malformed_item_fails_closed(change, tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(MonitorError):
         load_minimized(path, log_key.public_bytes)
+
+
+def _rogue_certs(fx):
+    """Certificates a misbehaving log might append, by the fault the full
+    monitor must name."""
+    stranger, stranger_rk = ca_keys()
+    leaf_key = KeyPair.generate(KeyRole.STANDARD_LEAF)
+    well_signed = make_leaf("forged.example.com", leaf_key, fx.inter_key, serial=51)
+    return {
+        "issuer is not a CA": make_leaf("below.example.com", leaf_key, fx.leaf_key, serial=50),
+        "issuer signature does not verify": replace(
+            well_signed, issuer_signature=stranger.sign(TAG_CERT_ISSUE, well_signed.tbs_bytes)
+        ),
+        "self-signed root outside the trust set": make_root("Rogue Root", stranger, stranger_rk, serial=52),
+        "issuer key unknown to the log": make_leaf("orphan.example.com", leaf_key, stranger, serial=53),
+    }
+
+
+@pytest.mark.parametrize("why", [
+    "issuer is not a CA", "issuer signature does not verify",
+    "self-signed root outside the trust set", "issuer key unknown to the log",
+])
+def test_full_monitor_names_each_certificate_fault(why):
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    log._queue_cert(_rogue_certs(fx)[why])  # the log skips its admission checks
+    log.run_update()
+    res = monitor.sync_from(log)
+    assert not res.ok
+    assert [r.evidence["why"] for r in res.reports] == [why]
+
+
+def synced_monitor_dir(tmp_path):
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    log.submit_revocation(fx.chain, rev)
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    save_full_monitor(tmp_path, monitor)
+    return log, monitor, (monitor.trust_roots, log_key.public_bytes, vendor.public_bytes)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [("entries.bin", lambda raw: raw[:-7]), ("entries.bin", lambda raw: raw[:-1]),
+     ("entries.bin", lambda raw: raw + b"\x00\x00"), ("roots.json", lambda raw: b"{}\n"),
+     ("roots.json", lambda raw: raw[: len(raw) // 2]), ("roots.json", lambda raw: b"[]\n")],
+    ids=["entries-cut-7", "entries-cut-1", "entries-torn-prefix", "roots-empty", "roots-torn", "roots-list"],
+)
+def test_damaged_full_monitor_state_fails_closed(damage, tmp_path):
+    log, monitor, keys = synced_monitor_dir(tmp_path)
+    assert load_full_monitor(tmp_path, *keys).tree.root() == monitor.tree.root()
+    name, cut = damage
+    path = tmp_path / name
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(MonitorError):
+        load_full_monitor(tmp_path, *keys)
+
+
+def test_interrupted_save_keeps_the_previous_state(tmp_path, monkeypatch):
+    log, monitor, keys = synced_monitor_dir(tmp_path)
+    saved_root = monitor.tree.root()
+    log.run_update()
+    assert monitor.sync_from(log).ok and monitor.tree.root() != saved_root
+
+    def crash(src, dst):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_full_monitor(tmp_path, monitor)
+    monkeypatch.undo()
+    assert load_full_monitor(tmp_path, *keys).tree.root() == saved_root
+    save_full_monitor(tmp_path, monitor)
+    assert load_full_monitor(tmp_path, *keys).tree.root() == monitor.tree.root()

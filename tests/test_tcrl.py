@@ -3,10 +3,11 @@ from dataclasses import replace
 import pytest
 
 from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
-from pkisn.crypto import KeyPair, KeyRole
+from pkisn.crypto import TAG_TCRL, KeyPair, KeyRole
 from pkisn.log import BadVendorSignature, LogConfig, LogServer
 from pkisn.monitor import FullMonitor
 from pkisn.tcrl import (
+    TcrlDelta,
     apply_tcrl_delta,
     attach_inclusion,
     build_tcrl,
@@ -213,7 +214,7 @@ def test_delta_reconstructs_next_version():
     now2 = T0 + 4 * PERIOD
     delta = build_tcrl_delta(v1, log, vendor, now=now2)
     assert len(delta.added) == 1 and len(delta.removed) == 1
-    rebuilt = apply_tcrl_delta(v1, delta, vendor, vendor.public_bytes)
+    rebuilt = apply_tcrl_delta(v1, delta, vendor.public_bytes)
     direct = build_tcrl(log, vendor, now=now2, version=rebuilt.version)
     assert rebuilt.entries == direct.entries
     assert rebuilt.signing_bytes() == direct.signing_bytes()
@@ -270,3 +271,40 @@ def test_equivalence_with_proof_path_random(pool=None):
             trust_roots=log.config.trust_roots, vendor_pub=vendor_pub, log_pub=log_pub,
         )
         assert (full.decision, full.reason) == (offline.decision, offline.reason), seed
+
+
+def test_delta_applies_with_public_keys_only():
+    fx = ChainFixture()
+    log, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    v1 = build_tcrl(log, vendor, now=log.last_update_time)
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    log.submit_revocation(fx.chain, rev)
+    log.run_update()
+    delta = TcrlDelta.from_json(build_tcrl_delta(v1, log, vendor, now=log.last_update_time).to_json())
+    direct = build_tcrl(log, vendor, now=log.last_update_time, version=2)
+    assert apply_tcrl_delta(v1, delta, vendor.public_bytes) == direct
+    # The bundle signature must be the vendor's, over exactly the merged bundle.
+    other_vendor = KeyPair.generate(KeyRole.VENDOR)
+    forged = replace(delta, bundle_signature=other_vendor.sign(TAG_TCRL, direct.signing_bytes()))
+    wrong_bundle = replace(delta, bundle_signature=v1.vendor_signature)
+    for bad in (forged, wrong_bundle, replace(delta, bundle_signature=None)):
+        with pytest.raises(BadVendorSignature):
+            apply_tcrl_delta(v1, bad, vendor.public_bytes)
+
+
+def test_inclusion_found_after_later_updates():
+    fx = ChainFixture()
+    log, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    tcrl = commit_tcrl(log, build_tcrl(log, vendor, now=log.last_update_time))
+    log.run_update()
+    log.run_update()
+    with_proof = attach_inclusion(log, tcrl)
+    assert with_proof.inclusion[1] == log.latest.signed_root
+    assert verify_tcrl(with_proof, vendor.public_bytes, log_key.public_bytes, require_inclusion=True)
+    never_logged = replace(tcrl, log_commitment=replace(tcrl.log_commitment, timestamp=T0 + 1))
+    with pytest.raises(LookupError):
+        attach_inclusion(log, never_logged)

@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
-from pkisn.crypto import KeyPair, KeyRole
-from pkisn.log import LogConfig, LogServer
+from pkisn.crypto import TAG_CHAIN_COMMITMENT, TAG_REVOCATION_COMMITMENT, KeyPair, KeyRole
+from pkisn.log import LogConfig, LogServer, PendingRevocation, RevocationCommitment
 from pkisn.revtree import cert_id_hash
 from pkisn.validation import (
     Cause,
@@ -14,8 +14,10 @@ from pkisn.validation import (
     determine_lp_ca,
     determine_lp_leaf,
     is_valid,
+    validate_with_tcrl,
     verify_proofs,
 )
+from pkisn.tcrl import build_tcrl
 
 from helpers import T0, YEAR, ChainFixture, make_leaf
 from scenario_gen import KeyPool, run_random_scenario
@@ -368,3 +370,51 @@ def test_oracle_equivalence_sample(pool):
         if got != oracle:
             mismatches.append((seed, got, oracle))
     assert not mismatches, mismatches[:5]
+
+
+def test_pending_revocation_needs_the_logs_commitment():
+    # A revocation the log never saw counts only with a commitment the log
+    # signed for exactly that message.
+    fx = ChainFixture()
+    log, vendor, log_key, _ = make_env(fx)
+    cc = log.submit_chain(fx.chain)
+    log.run_update()
+    now = log.last_update_time + 30
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    other = make_revocation(
+        RevocationKind.LEAF_REVOKE, fx.leaf, fx.inter_key, SignerRole.PARENT_CA, signer_depth=1
+    )
+
+    def committed(signer, rev_hash):
+        unsigned = RevocationCommitment(rev_hash, log.next_update_time(), None)
+        return replace(unsigned, log_signature=signer.sign(TAG_REVOCATION_COMMITMENT, unsigned.payload()))
+
+    rogue = KeyPair.generate(KeyRole.LOG)
+    for commitment in (committed(rogue, rev.rev_hash), committed(log_key, other.rev_hash)):
+        inp = validation_input(log, fx.chain, cc, vendor, log_key, now=now)
+        inp.pending_revocations = [PendingRevocation(rev, commitment)]
+        assert is_valid(inp).success
+    inp.pending_revocations = [PendingRevocation(rev, committed(log_key, rev.rev_hash))]
+    assert is_valid(inp).reason == Reason.LEAF_REVOKED
+
+
+def test_misordered_commitment_is_a_proof_mismatch_on_both_paths():
+    fx = ChainFixture()
+    log, vendor, log_key, _ = make_env(fx)
+    cc = log.submit_chain(fx.chain)
+    log.run_update()
+    now = log.last_update_time + 30
+    t = cc.timestamps[0]
+    # The log signs timestamps that increase from leaf to root.
+    bad = replace(cc, timestamps=(t, t, t + 1))
+    bad = replace(bad, log_signature=log_key.sign(TAG_CHAIN_COMMITMENT, bad.payload()))
+    assert bad.verify(log_key.public_bytes)
+    inp = validation_input(log, fx.chain, cc, vendor, log_key, now=now)
+    inp.cc = bad
+    assert is_valid(inp).reason == Reason.PROOF_MISMATCH
+    bundle = build_tcrl(log, vendor, now=now)
+    result = validate_with_tcrl(
+        fx.chain, bad, bundle, fx.domain, now,
+        log.config.trust_roots, vendor.public_bytes, log_key.public_bytes,
+    )
+    assert result.reason == Reason.PROOF_MISMATCH
