@@ -136,15 +136,18 @@ def canonical_tbs_bytes(cert: Certificate) -> bytes:
 
 
 def decode_certificate(data: bytes) -> Certificate:
+    data = bytes(data)
     r = Reader(data)
     serial = r.u64()
     subject_name = r.lp().decode("utf-8")
     issuer_key_id = Digest(r.take(DIGEST_LEN))
     subject_public_key = r.lp()
-    is_ca = r.u8() == 1
+    ca_flag = r.u8()
     not_before = r.u64()
     not_after = r.u64()
-    rk = r.lp() if r.u8() == 1 else None
+    rk_flag = r.u8()
+    rk = r.lp() if rk_flag == 1 else None
+    tbs_end = r.offset
     sig = Signature.read_from(r)
     r.done()
     cert = Certificate(
@@ -152,13 +155,17 @@ def decode_certificate(data: bytes) -> Certificate:
         subject_name=subject_name,
         issuer_key_id=issuer_key_id,
         subject_public_key=subject_public_key,
-        is_ca=is_ca,
+        is_ca=ca_flag == 1,
         not_before=not_before,
         not_after=not_after,
         revocation_public_key=rk,
         issuer_signature=sig,
     )
     cert.check_fields()
+    if ca_flag <= 1 and rk_flag <= 1:
+        # Every other field has one encoding (strict UTF-8 included), so the
+        # input is exactly what re-encoding would produce.
+        cert.__dict__.update(tbs_bytes=data[:tbs_end], canonical_bytes=data)
     return cert
 
 
@@ -271,8 +278,16 @@ class RevocationMessage:
     def rev_hash(self) -> Digest:
         return hash_leaf(self.canonical_bytes)
 
+    @property
+    def statement(self) -> tuple:
+        """What the signature fixes: kind, target, cut-off and the signature
+        value. Copies that differ only in the unsigned fields (signer_depth,
+        signer_key_id, the key id in the signature) share it."""
+        return (self.kind, self.target_cert_hash, self.rev_timestamp, self.signature.value)
+
 
 def decode_revocation(data: bytes) -> RevocationMessage:
+    data = bytes(data)
     r = Reader(data)
     kind = RevocationKind(r.u8())
     target = Digest(r.take(DIGEST_LEN))
@@ -282,7 +297,7 @@ def decode_revocation(data: bytes) -> RevocationMessage:
     signer_key_id = Digest(r.take(DIGEST_LEN))
     sig = Signature.read_from(r)
     r.done()
-    return RevocationMessage(
+    rev = RevocationMessage(
         kind=kind,
         target_cert_hash=target,
         rev_timestamp=rev_ts,
@@ -291,6 +306,8 @@ def decode_revocation(data: bytes) -> RevocationMessage:
         signer_key_id=signer_key_id,
         signature=sig,
     )
+    rev.__dict__["canonical_bytes"] = data  # every field has one encoding
+    return rev
 
 
 def check_revocation_form(rev: RevocationMessage, target: Certificate) -> None:

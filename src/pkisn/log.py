@@ -76,6 +76,20 @@ class DuplicateRkRevocation(LogError):
     """A CA's offline revocation key is single-use."""
 
 
+class RelabelledRevocation(LogError):
+    """A revocation whose signed statement is already logged under other
+    bytes: only its unsigned fields differ."""
+
+
+class ReplayMismatch(LogError):
+    """Recovery met a journaled update it cannot reproduce exactly; nothing
+    is signed for it."""
+
+    def __init__(self, update_time: int, why: str):
+        super().__init__(f"journaled update at {update_time}: {why}")
+        self.update_time = update_time
+
+
 class UpdateTooEarly(LogError):
     pass
 
@@ -275,6 +289,15 @@ class LogState:
         record.revocations.append((rev_bytes, reg_ts))
         self._dirty.add(record.parent)
 
+    def logged_under_other_bytes(self, rev: RevocationMessage) -> bool:
+        """True if rev's target already holds a revocation that makes rev's
+        signed statement in other bytes."""
+        record = self.registry.get(rev.target_cert_hash)
+        return record is not None and any(
+            rb != rev.canonical_bytes and decode_revocation(rb).statement == rev.statement
+            for rb, _ in record.revocations
+        )
+
     def forest_root(self) -> Digest:
         """Rebuild the subtrees changed since the last call, or reuse the
         cached top root when nothing changed."""
@@ -390,6 +413,8 @@ class LogServer(LogState):
                     return ts
         if any(p.canonical_bytes == rev.canonical_bytes for p in self.pending_revs):
             return self.next_update_time()
+        if self.logged_under_other_bytes(rev) or any(p.statement == rev.statement for p in self.pending_revs):
+            raise RelabelledRevocation("this revocation is already logged under other bytes")
         if rev.signer_role == SignerRole.REVOCATION_KEY:
             if h in self.rk_revocations:
                 raise DuplicateRkRevocation("the revocation key was already used for this certificate")
@@ -425,7 +450,11 @@ class LogServer(LogState):
             )
         return self._apply_update(now)
 
-    def _apply_update(self, now: int) -> SignedRoot:
+    def _apply_update(self, now: int, journaled: tuple[Digest, Digest] | None = None) -> SignedRoot:
+        """Append the queued batch and sign the new root. In recovery,
+        journaled holds the (forest root, tree root) the live log journaled
+        for this update: the forest is not rebuilt, and nothing is signed
+        unless the recomputed tree root equals the journaled one."""
         batch: list[TimeTreeEntry] = []
         for h in self.pending_certs:
             cert = self.certs[h]
@@ -443,9 +472,11 @@ class LogServer(LogState):
             batch.append(TimeTreeEntry(EntryKind.TCRL, tcrl_hash.value, now))
         self.pending_tcrls.clear()
 
-        forest_root = self.forest_root()
+        forest_root = self.forest_root() if journaled is None else journaled[0]
         batch.append(TimeTreeEntry(EntryKind.REV_TREE_ROOT, forest_root.value, now))
         root = self.tree.append(batch)
+        if journaled is not None and root != journaled[1]:
+            raise ReplayMismatch(now, "tree root differs from the journaled one")
         signed = self._sign(TAG_SIGNED_ROOT, SignedRoot(root, now, None))
         self.updates.append(
             UpdateRecord(
@@ -458,7 +489,7 @@ class LogServer(LogState):
         )
         self.last_update_time = now
         if self._journal is not None:
-            self._journal.append(jr.REC_UPDATE, u64(now))
+            self._journal.append(jr.REC_UPDATE, jr.encode_update(now, forest_root, root))
         return signed
 
     # -- queries -----------------------------------------------------------
@@ -517,17 +548,46 @@ class LogServer(LogState):
         journal_path,
     ) -> "LogServer":
         """Rebuild the full state by replaying the journal, then continue
-        appending to it."""
-        records = jr.Journal.replay(journal_path)
+        appending to it.
+
+        Submissions are queued again through the live admission code. An
+        update record that journals its forest and tree roots is applied
+        without rebuilding the forest: its root entry takes the journaled
+        forest root, and it is signed only once the recomputed tree root
+        equals the journaled one. The forest is rebuilt once, after the last
+        record (or before a legacy record, which rebuilds as the live log
+        did), and must reproduce the last journaled forest root. Any
+        disagreement raises ReplayMismatch."""
+        journal, records = jr.Journal.open(journal_path)
         log = cls(config, signing_key, start_time, journal=None)
-        for rec in records:
-            if rec.kind == jr.REC_CERT:
-                log._queue_cert(decode_certificate(rec.payload))
-            elif rec.kind == jr.REC_REVOCATION:
-                log._queue_revocation(decode_revocation(rec.payload))
-            elif rec.kind == jr.REC_TCRL:
-                log._queue_tcrl(Digest(rec.payload))
-            elif rec.kind == jr.REC_UPDATE:
-                log._apply_update(Reader(rec.payload).u64())
-        log._journal = jr.Journal(journal_path)
+        try:
+            for rec in records:
+                if rec.kind == jr.REC_CERT:
+                    log._queue_cert(decode_certificate(rec.payload))
+                elif rec.kind == jr.REC_REVOCATION:
+                    log._queue_revocation(decode_revocation(rec.payload))
+                elif rec.kind == jr.REC_TCRL:
+                    log._queue_tcrl(Digest(rec.payload))
+                elif rec.kind == jr.REC_UPDATE:
+                    log._replay_update(rec.payload)
+            log._check_forest()
+        except BaseException:
+            journal.close()
+            raise
+        log._journal = journal
         return log
+
+    def _replay_update(self, payload: bytes) -> None:
+        try:
+            now, roots = jr.decode_update(payload)
+        except ValueError as e:
+            raise ReplayMismatch(int.from_bytes(payload[:8], "big"), str(e)) from None
+        if roots is None:
+            self._check_forest()
+        self._apply_update(now, roots)
+
+    def _check_forest(self) -> None:
+        """Rebuild what the replayed updates changed and compare the forest
+        root with the one the last update journaled."""
+        if self.updates and self.forest_root() != self.updates[-1].forest_root:
+            raise ReplayMismatch(self.updates[-1].timestamp, "forest root differs from the journaled one")

@@ -188,6 +188,8 @@ class FullMonitor(LogState):
                 return self._invalid(entry, index, "revocation of an unlogged certificate")
             if revocation_signer(rev, self.certs[target], self._ancestors(target), self.vendor_pub) is None:
                 why = "revocation fails verification"
+            elif self.logged_under_other_bytes(rev):
+                why = "revocation already logged under other bytes"
             elif rev.signer_role == SignerRole.REVOCATION_KEY and target in self.rk_used:
                 why = "second use of a single-use revocation key"
             self.add_revocation(target, entry.payload, entry.reg_timestamp)

@@ -44,6 +44,10 @@ class Reader:
         self._data = data
         self._off = 0
 
+    @property
+    def offset(self) -> int:
+        return self._off
+
     def take(self, n: int) -> bytes:
         if self._off + n > len(self._data):
             raise DecodeError(f"need {n} bytes at offset {self._off}, have {len(self._data) - self._off}")

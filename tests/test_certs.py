@@ -281,3 +281,26 @@ def test_log_admits_exactly_what_the_validator_applies(kind, role, mutation):
     assert accepted == (lp.cause != Cause.UNREVOKED)
     if mutation in ("none", "another-target", "cut-off-at-expiry", "foreign-signature"):
         assert accepted == (mutation == "none")
+
+
+def test_decoding_keeps_the_bytes_it_read(monkeypatch):
+    import pkisn.certs
+
+    fx = ChainFixture()
+    rev = make_revocation(RevocationKind.CA_REVOKE_FROM, fx.inter, fx.root_key, SignerRole.PARENT_CA,
+                          rev_timestamp=T0 + YEAR)
+    raws = [c.canonical_bytes for c in fx.chain.certs]
+    rev_raw = rev.canonical_bytes
+
+    def no_reencoding(cert):
+        raise AssertionError("canonical input was re-encoded")
+
+    monkeypatch.setattr(pkisn.certs, "canonical_tbs_bytes", no_reencoding)
+    for raw, cert in zip(raws, fx.chain.certs):
+        back = decode_certificate(raw)
+        assert back.canonical_bytes is raw
+        assert back.tbs_bytes == raw[: len(raw) - len(cert.issuer_signature.encode())]
+        assert back.cert_hash == cert.cert_hash
+    back = decode_revocation(rev_raw)
+    assert back.canonical_bytes is rev_raw
+    assert back.rev_hash == rev.rev_hash

@@ -1,9 +1,12 @@
-from itertools import accumulate
+from itertools import accumulate, count
+
+import pytest
 
 from pkisn.certs import CertChain, RevocationKind, SignerRole, make_revocation
 from pkisn.crypto import TAG_SIGNED_ROOT, KeyPair, KeyRole, hash_leaf
-from pkisn.journal import Journal
-from pkisn.log import LogConfig, LogServer
+from pkisn.journal import REC_UPDATE, Journal
+from pkisn.log import LogConfig, LogServer, ReplayMismatch
+from pkisn.revtree import RevForest
 from pkisn.timetree import verify_consistency
 
 from helpers import T0, ChainFixture, make_leaf
@@ -166,3 +169,114 @@ def test_torn_tail_is_cut_before_the_next_write(tmp_path):
             expected[intact] = recover_update_recover(copy)
         copy.write_bytes(data[:cut])
         assert recover_update_recover(copy) == expected[intact], cut
+
+
+def four_updates(tmp_path):
+    """A journal of 4 updates: a chain; a revocation and a bundle; a second
+    leaf; nothing."""
+    fx, vendor, log_key, path, log = journaled_history(tmp_path)
+    log = recover_log(fx, vendor, log_key, path)
+    leaf2 = make_leaf("second.example.com", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.inter_key, serial=90)
+    log.submit_chain(CertChain((fx.root, fx.inter, leaf2)))
+    log.run_update()
+    log.run_update()
+    log._journal.close()
+    return fx, vendor, log_key, path, log
+
+
+def rewrite_updates(path, change):
+    """Write path's records again, each update payload passed through
+    change(update index, payload), with fresh CRCs."""
+    records = Journal.replay(path)
+    path.unlink()
+    j = Journal(path, fsync=False)
+    n = count()
+    j.append_all([(r.kind, change(next(n), r.payload) if r.kind == REC_UPDATE else r.payload) for r in records])
+    j.close()
+
+
+def recovered_state(log):
+    return log.tree.size, log.tree.root(), log.forest.top_root(), [u.signed_root for u in log.updates]
+
+
+@pytest.mark.parametrize("legacy", [{0, 1, 2, 3}, {0, 1}, {2, 3}, {1, 3}],
+                         ids=["legacy", "legacy-then-new", "new-then-legacy", "alternating"])
+def test_legacy_update_records_recover_the_same_roots(tmp_path, legacy):
+    fx, vendor, log_key, path, log = four_updates(tmp_path)
+    assert {len(r.payload) for r in Journal.replay(path) if r.kind == REC_UPDATE} == {72}
+    rewrite_updates(path, lambda i, payload: payload[:8] if i in legacy else payload)
+    recovered = recover_log(fx, vendor, log_key, path)
+    recovered._journal.close()
+    assert recovered_state(recovered) == recovered_state(log)
+
+
+@pytest.mark.parametrize("update", [0, 1, 3])
+@pytest.mark.parametrize("field", [slice(8, 40), slice(40, 72)], ids=["forest-root", "tree-root"])
+def test_altered_journaled_root_is_never_signed(tmp_path, monkeypatch, field, update):
+    fx, vendor, log_key, path, log = four_updates(tmp_path)
+
+    def alter(i, payload):
+        if i != update:
+            return payload
+        raw = bytearray(payload)
+        raw[field.start] ^= 1
+        return bytes(raw)
+
+    rewrite_updates(path, alter)
+    signed = []
+    sign = KeyPair.sign
+
+    def spy(key, tag, payload):
+        signed.append(payload)
+        return sign(key, tag, payload)
+
+    monkeypatch.setattr(KeyPair, "sign", spy)
+    with pytest.raises(ReplayMismatch) as e:
+        recover_log(fx, vendor, log_key, path)
+    assert e.value.update_time == log.updates[update].timestamp
+    assert signed == [u.signed_root.payload() for u in log.updates[:update]]
+
+
+@pytest.mark.parametrize("length", [0, 7, 9, 40, 73])
+def test_update_record_of_another_length_is_refused(tmp_path, length):
+    fx, vendor, log_key, path, log = four_updates(tmp_path)
+    rewrite_updates(path, lambda i, payload: (payload * 2)[:length] if i == 2 else payload)
+    with pytest.raises(ReplayMismatch, match="update record of"):
+        recover_log(fx, vendor, log_key, path)
+
+
+def test_recovery_rebuilds_the_forest_once(tmp_path, monkeypatch):
+    fx, vendor, log_key, path, log = four_updates(tmp_path)
+    calls = []
+    rebuild = RevForest.rebuild
+
+    def spy(forest, *args, **kwargs):
+        calls.append(1)
+        return rebuild(forest, *args, **kwargs)
+
+    monkeypatch.setattr(RevForest, "rebuild", spy)
+    recovered = recover_log(fx, vendor, log_key, path)
+    recovered._journal.close()
+    assert len(calls) == 1
+    assert recovered_state(recovered) == recovered_state(log)
+
+
+def test_recovery_reads_the_journal_once(tmp_path, monkeypatch):
+    import pkisn.journal
+
+    fx, vendor, log_key, path, log = four_updates(tmp_path)
+    intact = Journal.replay(path)
+    path.write_bytes(path.read_bytes() + b"\x01\x00")  # a torn tail
+    scans = []
+    frames = pkisn.journal._frames
+
+    def spy(data):
+        scans.append(len(data))
+        return frames(data)
+
+    monkeypatch.setattr(pkisn.journal, "_frames", spy)
+    recovered = recover_log(fx, vendor, log_key, path)
+    assert len(scans) == 1
+    recovered.run_update()  # written after the intact frames
+    recovered._journal.close()
+    assert Journal.replay(path)[:-1] == intact

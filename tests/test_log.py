@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pkisn.certs import (
@@ -14,6 +16,7 @@ from pkisn.log import (
     LogConfig,
     LogServer,
     QueueFull,
+    RelabelledRevocation,
     TargetNotLogged,
     UnknownLeaf,
     UntrustedRoot,
@@ -315,3 +318,21 @@ def test_ca_revocation_past_expiry_rejected_at_submission():
     forged = replace(good, rev_timestamp=fx.inter.not_after + 5)
     with pytest.raises(IllegitimateRevocation):
         log.submit_revocation(CertChain((fx.root, fx.inter)), forged)
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["pending", "merged"])
+def test_relabelled_revocation_copies_refused(merged):
+    fx = ChainFixture()
+    log, vendor, _ = new_log(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    rc = log.submit_revocation(fx.chain, rev)
+    if merged:
+        log.run_update()
+    for copy in (replace(rev, signer_depth=7), replace(rev, signer_key_id=vendor.key_id)):
+        with pytest.raises(RelabelledRevocation):
+            log.submit_revocation(fx.chain, copy)
+    assert log.submit_revocation(fx.chain, rev) == rc  # byte-identical stays idempotent
+    log.run_update()
+    assert log.registry[fx.leaf.cert_hash].revocations == [(rev.canonical_bytes, rc.timestamp)]

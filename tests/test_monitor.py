@@ -609,3 +609,19 @@ def test_interrupted_save_keeps_the_previous_state(tmp_path, monkeypatch):
     assert load_full_monitor(tmp_path, *keys).tree.root() == saved_root
     save_full_monitor(tmp_path, monitor)
     assert load_full_monitor(tmp_path, *keys).tree.root() == monitor.tree.root()
+
+
+def test_relabelled_revocation_entry_reported():
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    log.submit_revocation(fx.chain, rev)
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    log.pending_revs.append(replace(rev, signer_depth=7))  # the log skips its admission checks
+    log.run_update()
+    res = monitor.sync_from(log)
+    assert not res.ok
+    assert [r.evidence["why"] for r in res.reports] == ["revocation already logged under other bytes"]

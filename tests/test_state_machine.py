@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import settings
@@ -106,6 +107,30 @@ class LogAndMonitors(RuleBasedStateMachine):
     def crash_and_recover(self):
         self.log._journal.close()
         self.log = LogServer.recover(CONFIG, LOG_KEY, start_time=T0, journal_path=self.journal_path)
+
+    @precondition(lambda self: self.journal_path.stat().st_size)
+    @rule(back=st.integers(0, 10**6))
+    def torn_crash_recovers_the_intact_prefix(self, back):
+        """Cut a copy of the journal at a byte inside its last frames: it
+        recovers to what the intact frames before the cut recover to, and
+        signs only roots the live log signed."""
+        data = self.journal_path.read_bytes()
+        ends = [0] + list(accumulate(9 + len(r.payload) for r in Journal.replay(self.journal_path)))
+        lo = ends[max(0, len(ends) - 4)]
+        cut = lo + back % (len(data) - lo)
+        torn, prefix = self.dir / "torn.bin", self.dir / "prefix.bin"
+        torn.write_bytes(data[:cut])
+        prefix.write_bytes(data[: max(e for e in ends if e <= cut)])
+        states = []
+        for path in (torn, prefix):
+            log = LogServer.recover(CONFIG, LOG_KEY, start_time=T0, journal_path=path)
+            log._journal.close()
+            path.unlink()
+            states.append((log.tree.size, log.tree.root(), log.forest.top_root(),
+                           [u.signed_root for u in log.updates], log.pending_certs,
+                           [r.canonical_bytes for r in log.pending_revs], log.pending_tcrls))
+        assert states[0] == states[1]
+        assert states[0][3] == [u.signed_root for u in self.log.updates[: len(states[0][3])]]
 
     @precondition(lambda self: self.log.updates)
     @rule()
