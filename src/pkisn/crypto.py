@@ -104,6 +104,11 @@ def hash_node(left: Digest, right: Digest) -> Digest:
     return sha256(NODE_PREFIX + left.value + right.value)
 
 
+def hash_node_raw(left: bytes, right: bytes) -> bytes:
+    """hash_node over raw 32-byte values, as the Merkle store keeps its levels."""
+    return hashlib.sha256(NODE_PREFIX + left + right).digest()
+
+
 def empty_subtree_root() -> Digest:
     return hash_leaf(EMPTY_SUBTREE_MARKER)
 

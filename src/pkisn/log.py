@@ -4,8 +4,8 @@ Submissions are verified and queued; a chain commitment signed immediately
 promises the registration timestamp of every certificate in the chain. At
 each scheduled update the queue is appended to the chronological tree, the
 revocation forest is rebuilt, its root is appended as the batch's final
-entry, and a fresh signed root is emitted. Readers always see the snapshot
-of the last completed update.
+entry, and a fresh signed root is emitted. Proofs are served from the
+forest of the last completed update.
 
 LogState holds what the entry stream alone determines (registry, issuance
 hierarchy, revocation forest); LogServer and the full monitor both extend
@@ -308,8 +308,11 @@ class LogState:
 
 
 class LogServer(LogState):
-    """Single-writer log; submissions validate concurrently but mutate through
-    one queue, and every read serves the snapshot of the latest update."""
+    """Single-writer log with no locking of its own: LogHTTPService runs every
+    request, submissions and reads alike, under one lock, so submissions are
+    checked one at a time and no read overlaps an update. Submissions wait in
+    the queues until the next update; the forest and the tree answer reads
+    as of the last completed one, plus the pending revocations."""
 
     def __init__(
         self,
@@ -324,6 +327,8 @@ class LogServer(LogState):
         self.pending_certs: list[Digest] = []  # submission order, parents first
         self.pending_set: set[Digest] = set()
         self.pending_revs: list[RevocationMessage] = []
+        # Commitments to pending revocations, signed once until the update merges them.
+        self._pending_commitments: dict[Digest, RevocationCommitment] = {}
         self.pending_tcrls: list[Digest] = []
         self.rk_revocations: set[Digest] = set()  # targets whose revocation key was used
         self.updates: list[UpdateRecord] = []
@@ -401,7 +406,10 @@ class LogServer(LogState):
         return self._admit_revocation(rev)
 
     def _admit_revocation(self, rev: RevocationMessage) -> RevocationCommitment:
-        return self._sign_rev_commitment(rev, self._queue_revocation(rev))
+        ts = self._queue_revocation(rev)
+        if ts == self.next_update_time():
+            return self._pending_commitment(rev)
+        return self._sign_rev_commitment(rev, ts)
 
     def _queue_revocation(self, rev: RevocationMessage) -> int:
         """Queue a revocation for the next update and journal it; returns
@@ -433,6 +441,17 @@ class LogServer(LogState):
 
     def _sign_rev_commitment(self, rev: RevocationMessage, ts: int) -> RevocationCommitment:
         return self._sign(TAG_REVOCATION_COMMITMENT, RevocationCommitment(rev.rev_hash, ts, None))
+
+    def _pending_commitment(self, rev: RevocationMessage) -> RevocationCommitment:
+        """The commitment to a pending revocation, signed on first use (at
+        admission, or at the first read after recovery) and kept until the
+        update merges it; Ed25519 signing is deterministic, so the bytes are
+        those a fresh signature would have."""
+        commitment = self._pending_commitments.get(rev.rev_hash)
+        if commitment is None:
+            commitment = self._sign_rev_commitment(rev, self.next_update_time())
+            self._pending_commitments[rev.rev_hash] = commitment
+        return commitment
 
     def submit_tcrl_hash(self, tcrl_hash: Digest) -> RevocationCommitment:
         """Queue a vendor revocation bundle by its hash; the tcrl module
@@ -467,6 +486,7 @@ class LogServer(LogState):
             self.add_revocation(rev.target_cert_hash, rev.canonical_bytes, now)
             batch.append(TimeTreeEntry(EntryKind.REVOCATION, rev.canonical_bytes, now))
         self.pending_revs.clear()
+        self._pending_commitments.clear()
 
         for tcrl_hash in self.pending_tcrls:
             batch.append(TimeTreeEntry(EntryKind.TCRL, tcrl_hash.value, now))
@@ -515,7 +535,7 @@ class LogServer(LogState):
         for rev in self.pending_revs:
             target = self.registry.get(rev.target_cert_hash)
             if target is not None and target.id_hash in ids:
-                out.append(PendingRevocation(rev, self._sign_rev_commitment(rev, self.next_update_time())))
+                out.append(PendingRevocation(rev, self._pending_commitment(rev)))
         return out
 
     def prove_absence(self, level_path: list[Digest], missing: Digest) -> AbsenceProof:

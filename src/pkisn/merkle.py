@@ -9,15 +9,22 @@ the lightweight monitor's frontier all build on it.
 
 A node is a tuple (level, index, hash) naming the complete subtree over
 leaves [index * 2^level, (index + 1) * 2^level).
+
+HashStore keeps its levels as raw 32-byte values and hashes them with
+crypto.hash_node_raw; Digest appears only where a hash enters or leaves the
+store. The frontier functions (push, fold) and the proof verifiers work on
+Digest values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import attrgetter
 
-from .crypto import Digest, hash_node, sha256
+from .crypto import Digest, hash_node, hash_node_raw, sha256
 
 Node = tuple[int, int, Digest]
+_value = attrgetter("value")
 
 
 def push(frontier: list[Node], node: Node) -> None:
@@ -44,39 +51,71 @@ def fold(nodes: list[Node]) -> Digest:
 
 class HashStore:
     """Leaf hashes and every complete aligned node above them, one array per
-    level: levels[level][index] is the hash of node (level, index).
+    level: levels[level][index] is the raw 32-byte hash of node (level, index).
 
-    Appending hashes the nodes the new leaves complete; nothing is hashed
-    twice, and ragged ranges on the right edge fold O(log n) stored nodes."""
+    Levels hold bytes and hash through hash_node_raw; a Digest exists only at
+    the edges, in the leaves handed to the constructor, append, set and
+    insert, and in what root, cover, range_hash and audit_path return.
+    Appending hashes the nodes the new leaves complete, and ragged ranges on
+    the right edge fold O(log n) stored nodes. set rewrites one leaf and its
+    ancestors in place. insert shifts every leaf right of it, so it drops
+    the stored nodes from there on; the next read hashes them again, once
+    for any number of inserts."""
 
     def __init__(self, leaf_hashes: Iterable[Digest] = ()):
-        self.levels: list[list[Digest]] = [[]]
+        self.levels: list[list[bytes]] = [[]]
+        self._stale = False  # inserts left nodes to rehash
         self.append(leaf_hashes)
 
     def __len__(self) -> int:
         return len(self.levels[0])
 
     def append(self, leaf_hashes: Iterable[Digest]) -> None:
+        self.levels[0].extend(map(_value, leaf_hashes))
+        self._fill()
+
+    def _fill(self) -> None:
+        """Hash every node whose two children are stored and it is not."""
         row = self.levels[0]
-        row.extend(leaf_hashes)
         level = 0
         while len(row) >= 2:
             if level + 1 == len(self.levels):
                 self.levels.append([])
             up = self.levels[level + 1]
-            up.extend([hash_node(row[i], row[i + 1]) for i in range(2 * len(up), len(row) - 1, 2)])
+            lo = 2 * len(up)
+            up.extend(map(hash_node_raw, row[lo::2], row[lo + 1::2]))
             row, level = up, level + 1
+        self._stale = False
 
-    def truncate(self, size: int) -> None:
-        """Keep the first size leaves and every node over them alone."""
-        for level, row in enumerate(self.levels):
-            del row[size >> level:]
+    def set(self, index: int, leaf_hash: Digest) -> None:
+        """Replace one leaf and rehash the stored nodes above it, one per level."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"leaf {index} outside {len(self)} leaves")
+        below = self.levels[0]
+        below[index] = leaf_hash.value
+        for row in self.levels[1:]:
+            index >>= 1
+            if index >= len(row):
+                break
+            row[index] = hash_node_raw(below[2 * index], below[2 * index + 1])
+            below = row
 
-    def cover(self, lo: int, hi: int) -> list[Node]:
-        """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
+    def insert(self, index: int, leaf_hash: Digest) -> None:
+        """Insert a leaf before position index; the nodes over it and right of
+        it are rehashed on the next read."""
+        if not 0 <= index <= len(self):
+            raise IndexError(f"position {index} outside {len(self)} leaves")
+        self.levels[0].insert(index, leaf_hash.value)
+        for level in range(1, len(self.levels)):
+            del self.levels[level][index >> level:]
+        self._stale = True
+
+    def _cover(self, lo: int, hi: int) -> list[tuple[int, int, bytes]]:
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"bad range [{lo}, {hi}) over {len(self)} leaves")
-        nodes: list[Node] = []
+        if self._stale:
+            self._fill()
+        nodes = []
         while lo < hi:
             level = (hi - lo).bit_length() - 1
             if lo:
@@ -85,29 +124,45 @@ class HashStore:
             lo += 1 << level
         return nodes
 
+    def cover(self, lo: int, hi: int) -> list[Node]:
+        """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
+        return [(level, index, Digest(value)) for level, index, value in self._cover(lo, hi)]
+
+    def _fold(self, lo: int, hi: int) -> Digest:
+        """fold over the cover of [lo, hi), on raw values."""
+        nodes = self._cover(lo, hi)
+        if not nodes:
+            return sha256(b"")
+        acc = nodes[-1][2]
+        for _, _, value in reversed(nodes[:-1]):
+            acc = hash_node_raw(value, acc)
+        return Digest(acc)
+
     def range_hash(self, lo: int, hi: int) -> Digest:
         """Root of the subtree over leaves [lo, hi), which must be a node of
         some prefix tree: lo is a multiple of the least power of two >= hi - lo."""
         n = hi - lo
         if n <= 0 or lo % (1 << (n - 1).bit_length()):
             raise ValueError(f"[{lo}, {hi}) is not a node of a prefix tree")
-        return fold(self.cover(lo, hi))
+        return self._fold(lo, hi)
 
     def root(self, size: int | None = None) -> Digest:
-        return fold(self.cover(0, len(self) if size is None else size))
+        return self._fold(0, len(self) if size is None else size)
 
     def audit_path(self, index: int, size: int | None = None) -> list[Digest]:
         """Sibling hashes from the leaf up to the root of the size-prefix tree."""
         size = len(self) if size is None else size
         if not 0 <= index < size <= len(self):
             raise ValueError("index outside tree")
+        if self._stale:
+            self._fill()
         path: list[Digest] = []
         level = 0
         while 1 << level < size:
             sibling = (index >> level) ^ 1
             lo = sibling << level
             if lo + (1 << level) <= size:
-                path.append(self.levels[level][sibling])
+                path.append(Digest(self.levels[level][sibling]))
             elif lo < size:  # a sibling cut by the right edge
                 path.append(self.range_hash(lo, size))
             level += 1

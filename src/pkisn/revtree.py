@@ -11,8 +11,10 @@ adjacent leaves bracketing a missing hash.
 One presence proof therefore authenticates a whole chain at once, including
 every revocation attached to any of its members.
 
-Subtrees persist across updates: inserts and revocations alike rehash from
-the first changed leaf on and reuse everything left of it, as history trees do.
+Subtrees persist across updates and are edited in place, as history trees
+are: a revocation, or a child subtree whose root moved, rehashes one leaf and
+its O(log n) ancestors; new certificates are inserted at their sorted
+positions, and only the nodes from the leftmost insert on are hashed again.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .certs import CertChain
 from .crypto import Digest, empty_subtree_root, hash_leaf
@@ -194,61 +197,108 @@ class AbsenceProof:
         )
 
 
-def _id_bytes(leaf: list) -> bytes:
-    return leaf[0].value
+def _id_bytes(cert: RegisteredCert) -> bytes:
+    return cert.id_hash.value
+
+
+_value = attrgetter("value")
+
+
+def _differing(a: list, b: list) -> list[int]:
+    """Positions where two lists of one length differ, found by halving:
+    the few changed ones cost O(log n) slice comparisons each, at C speed."""
+    out, todo = [], [(0, len(a))]
+    while todo:
+        lo, hi = todo.pop()
+        if a[lo:hi] == b[lo:hi]:
+            continue
+        if hi - lo == 1:
+            out.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid, hi)]
+    return out
 
 
 class _Subtree:
-    """One CA's children (the root CAs for the top), kept across rebuilds:
-    leaves [id_hash, RegisteredCert, revocations, child_root, leaf_hash]
-    sorted by identity hash, their leaf hashes level 0 of the store."""
+    """One CA's children (the root CAs for the top), kept across rebuilds and
+    sorted by identity hash. Parallel lists hold each leaf's identity hash,
+    its registry record's revocation list, and the revocations and child
+    root its leaf hash commits to; level 0 of the store holds the leaf
+    hashes.
+
+    An update edits the store in place. A leaf whose revocation list grew
+    or whose child root moved is rewritten with its O(log n) ancestors
+    (HashStore.set). A new leaf is inserted at its sorted position, which
+    shifts every leaf right of it, so the store rehashes from the leftmost
+    insert on, once per update. A subtree built from empty sorts its leaves
+    once and hashes them in one pass instead."""
 
     def __init__(self):
-        self.leaves: list[list] = []
+        self.id_hashes: list[Digest] = []
+        self.rev_lists: list[list[tuple[bytes, int]]] = []  # the registry's own lists
+        self.revocations: list[tuple[tuple[bytes, int], ...]] = []
+        self.child_roots: list[Digest | None] = []
         self.store = HashStore()
         self.root: Digest | None = None  # None while there are no leaves
 
     @property
     def size(self) -> int:
-        return len(self.leaves)
+        return len(self.id_hashes)
 
     def find(self, id_hash: Digest) -> tuple[int, bool]:
         """Position of id_hash, or of the next leaf up, and whether it is there."""
-        idx = bisect.bisect_left(self.leaves, id_hash.value, key=_id_bytes)
-        return idx, idx < len(self.leaves) and self.leaves[idx][0] == id_hash
+        idx = bisect.bisect_left(self.id_hashes, id_hash.value, key=_value)
+        return idx, idx < self.size and self.id_hashes[idx] == id_hash
+
+    def _leaf_hash(self, idx: int, subtrees) -> Digest:
+        """Take in the leaf's revocations and its child subtree's root, and hash it."""
+        id_hash = self.id_hashes[idx]
+        child = subtrees.get(id_hash)
+        self.revocations[idx] = revocations = tuple(self.rev_lists[idx])
+        self.child_roots[idx] = child_root = None if child is None else child.root
+        return rev_leaf_hash(id_hash, revocations, child_root)
 
     def update(self, children: list[Digest], registry, subtrees, moved: list[Digest]) -> None:
-        """Merge in the children appended since the last update, rehash new
-        leaves and those whose revocations grew or whose child root moved (the
-        ids in `moved`), and recompute the store from the first of them on."""
-        new = []
-        for ch in children[len(self.leaves):]:
-            if ch not in registry:
-                raise OrphanCertificate(f"child {ch.hex[:12]} is not registered")
-            new.append([registry[ch].id_hash, registry[ch], (), None, None])
-        if new:
-            self.leaves = sorted(self.leaves + new, key=_id_bytes)
+        """Insert the children appended since the last update, and rehash the
+        leaves whose revocations grew or whose child root moved (the ids in
+        `moved`)."""
+        try:
+            new = sorted((registry[ch] for ch in children[self.size:]), key=_id_bytes)
+        except KeyError as e:
+            raise OrphanCertificate(f"child {e.args[0].hex[:12]} is not registered") from None
+        if not self.id_hashes:  # built from empty: the one sort above, then one pass
+            self.id_hashes = [cert.id_hash for cert in new]
+            self.rev_lists = [cert.revocations for cert in new]
+            self.revocations = [()] * len(new)
+            self.child_roots = [None] * len(new)
+            self.store = HashStore([self._leaf_hash(idx, subtrees) for idx in range(len(new))])
+            self.root = self.store.root() if new else None
+            return
+        for cert in new:
+            idx = self.find(cert.id_hash)[0]
+            self.id_hashes.insert(idx, cert.id_hash)
+            self.rev_lists.insert(idx, cert.revocations)
+            self.revocations.insert(idx, ())
+            self.child_roots.insert(idx, None)
+            self.store.insert(idx, self._leaf_hash(idx, subtrees))
+        # Revocations are appended to the registry's lists in place: compare
+        # their lengths with what the leaves commit to.
+        touched = set(_differing(list(map(len, self.revocations)), list(map(len, self.rev_lists))))
         for id_hash in moved:
-            self.leaves[self.find(id_hash)[0]][4] = None
-        first = len(self.leaves)
-        for i, leaf in enumerate(self.leaves):
-            if leaf[4] is None or len(leaf[1].revocations) != len(leaf[2]):
-                child = subtrees.get(leaf[0])
-                leaf[2] = tuple(leaf[1].revocations)
-                leaf[3] = None if child is None else child.root
-                leaf[4] = rev_leaf_hash(leaf[0], leaf[2], leaf[3])
-                first = min(first, i)
-        if first < len(self.leaves):
-            self.store.truncate(first)
-            self.store.append(leaf[4] for leaf in self.leaves[first:])
+            idx = self.find(id_hash)[0]
+            if self.child_roots[idx] is not subtrees[id_hash].root:
+                touched.add(idx)
+        for idx in touched:
+            self.store.set(idx, self._leaf_hash(idx, subtrees))
+        if new or touched:
             self.root = self.store.root()
 
     def record(self, idx: int) -> SubtreeLeafRecord:
-        id_hash, _, revocations, child_root, _ = self.leaves[idx]
         return SubtreeLeafRecord(
-            id_hash=id_hash,
-            revocations=revocations,
-            child_root=child_root,
+            id_hash=self.id_hashes[idx],
+            revocations=self.revocations[idx],
+            child_root=self.child_roots[idx],
             leaf_index=idx,
             subtree_size=self.size,
             path=tuple(self.store.audit_path(idx)),
@@ -271,7 +321,8 @@ class RevForest:
     ) -> Digest:
         """Update the subtrees of the certificates in `dirty` (None for the top)
         and of their ancestors; dirty=None updates every subtree of an emptied
-        forest. Children lists only grow, and no certificate changes parent."""
+        forest. Children lists only grow, revocation lists only grow in place,
+        and no certificate changes parent."""
         if dirty is None:
             self._subtrees = {None: _Subtree()}
             dirty = [k for k, ch in children.items() if ch]
@@ -318,7 +369,7 @@ class RevForest:
         with the chronological-tree binding."""
         ancestors = self.prove_chain(level_path)
         subtree = self._subtrees.get(level_path[-1] if level_path else None)
-        if subtree is None or not subtree.leaves:
+        if subtree is None or not subtree.size:
             return ancestors, True, 0, None, None
         pos, present = subtree.find(missing)
         if present:

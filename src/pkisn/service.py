@@ -127,8 +127,20 @@ def load_public_key(path: str | Path) -> bytes:
 
 # -- HTTP service --------------------------------------------------------------
 
+MAX_BODY_BYTES = 16 << 20  # a request body above this answers 413 unread
+
+
+class MalformedRequest(Exception):
+    """A request the service cannot read: answered 400."""
+
+
+class RequestTooLarge(Exception):
+    """A request body above MAX_BODY_BYTES: answered 413."""
+
+
 class LogHTTPService:
-    """Thin JSON facade over a LogServer; one lock serializes mutations."""
+    """Thin JSON facade over a LogServer; one lock serializes every request's
+    work on the log, reads included."""
 
     def __init__(self, log: LogServer, config: ServiceConfig):
         self.log = log
@@ -205,13 +217,22 @@ class LogHTTPService:
             def log_message(self, *args):
                 pass
 
+            def _read_body(self):
+                text = self.headers.get("Content-Length")
+                try:
+                    length = int(text)
+                except (TypeError, ValueError):
+                    raise MalformedRequest(f"Content-Length must be a number, got {text!r}") from None
+                if length < 0:
+                    raise MalformedRequest(f"negative Content-Length {length}")
+                if length > MAX_BODY_BYTES:
+                    raise RequestTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+                return json.loads(self.rfile.read(length) or b"{}")
+
             def _run(self, method):
                 parsed = urlparse(self.path)
-                body = None
-                if method == "POST":
-                    length = int(self.headers.get("Content-Length", "0"))
-                    body = json.loads(self.rfile.read(length) or b"{}")
                 try:
+                    body = self._read_body() if method == "POST" else None
                     out = service.handle(method, parsed.path, parse_qs(parsed.query), body)
                     payload = json.dumps(out).encode()
                     self.send_response(200)
@@ -228,6 +249,9 @@ class LogHTTPService:
                 except FileNotFoundError:
                     payload = json.dumps({"error": "NotFound"}).encode()
                     self.send_response(404)
+                except RequestTooLarge as e:  # the body is left unread; HTTP/1.0 closes the connection
+                    payload = json.dumps({"error": type(e).__name__, "message": str(e)}).encode()
+                    self.send_response(413)
                 except LogError as e:
                     payload = json.dumps({"error": type(e).__name__, "message": str(e)}).encode()
                     self.send_response(409)

@@ -336,3 +336,20 @@ def test_relabelled_revocation_copies_refused(merged):
     assert log.submit_revocation(fx.chain, rev) == rc  # byte-identical stays idempotent
     log.run_update()
     assert log.registry[fx.leaf.cert_hash].revocations == [(rev.canonical_bytes, rc.timestamp)]
+
+
+def test_pending_revocation_commitment_is_signed_once(monkeypatch):
+    fx = ChainFixture()
+    log, _, _ = new_log(fx)
+    cc = log.submit_chain(fx.chain)
+    log.run_update()
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+    commitment = log.submit_revocation(fx.chain, rev)
+    signatures = []
+    sign = KeyPair.sign
+    monkeypatch.setattr(KeyPair, "sign", lambda self, tag, payload: signatures.append(tag) or sign(self, tag, payload))
+    for _ in range(10):
+        _, _, pending = log.get_proof(query_for(fx.chain, cc))
+        assert [p.commitment for p in pending] == [commitment]
+        assert pending[0].commitment.log_signature.encode() == commitment.log_signature.encode()
+    assert len(signatures) <= 1

@@ -1,6 +1,8 @@
 """The one tree shape (RFC 9162, section 2.1) behind the chronological tree,
 the forest subtrees and the lightweight monitor's frontier."""
 
+import random
+
 import pytest
 
 from pkisn.crypto import hash_leaf, hash_node, sha256
@@ -64,3 +66,34 @@ def test_range_hash_rejects_a_range_that_is_no_node():
     for lo, hi in [(1, 3), (2, 5), (2, 6), (4, 9), (3, 3), (5, 4)]:
         with pytest.raises(ValueError):
             store.range_hash(lo, hi)
+
+
+def test_edits_in_place_match_a_fresh_store():
+    # append, set and insert on one store, with reads in between,
+    # give the roots, covers and audit paths of a store built from scratch.
+    rng = random.Random(4)
+    for _ in range(60):
+        store, leaves = HashStore(), []
+        for _ in range(rng.randrange(1, 25)):
+            leaf = hash_leaf(rng.randbytes(8))
+            op = rng.random()
+            if op < 0.25 or not leaves:
+                new = [hash_leaf(rng.randbytes(8)) for _ in range(rng.randrange(1, 6))]
+                store.append(new)
+                leaves += new
+            elif op < 0.55:
+                i = rng.randrange(len(leaves))
+                store.set(i, leaf)
+                leaves[i] = leaf
+            else:
+                i = rng.randrange(len(leaves) + 1)
+                store.insert(i, leaf)
+                leaves.insert(i, leaf)
+            if leaves and rng.random() < 0.3:
+                assert store.root() == mth(leaves)
+        fresh = HashStore(leaves)
+        for n in range(1, len(leaves) + 1):
+            assert store.root(n) == fresh.root(n) == mth(leaves[:n])
+            assert store.cover(0, n) == fresh.cover(0, n)
+            for i in range(n):
+                assert store.audit_path(i, n) == fresh.audit_path(i, n)

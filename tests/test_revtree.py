@@ -475,3 +475,29 @@ def test_incremental_records_match_fresh_forest():
                 missing = Digest(rng.randbytes(32))
                 assert forest.prove_absence_records(query, missing) == fresh.prove_absence_records(query, missing)
     assert len(inserted) > 300
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_revoking_any_leaf_rehashes_one_path(monkeypatch, where):
+    # A revocation rewrites its leaf and the ancestors above it in place,
+    # wherever the leaf sorts: one 9-level path over 512 leaves.
+    rng = random.Random(18)
+    registry, children = synth_registry(rng, n_roots=1, n_mid=0, n_leaves=0, revs=0)
+    ca = children[None][0]
+    for _ in range(512):
+        cb = rng.randbytes(30)
+        h = hash_leaf(cb)
+        registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=300, parent=ca, revocations=[])
+        children[h] = []
+        children[ca].append(h)
+    forest = forest_of(registry, children)
+    by_id = sorted(children[ca], key=lambda h: registry[h].id_hash.value)
+    target = {"first": by_id[0], "middle": by_id[len(by_id) // 2], "last": by_id[-1]}[where]
+    registry[target].revocations.append((b"revocation", 400))
+    calls = []
+    for name in ("hash_node_raw", "hash_node"):
+        fn = getattr(merkle, name)
+        monkeypatch.setattr(merkle, name, lambda l, r, fn=fn: calls.append(1) or fn(l, r))
+    root = forest.rebuild(registry, children, dirty={ca, None})
+    assert len(calls) <= 2 * 9 + 4
+    assert root.value == bf_forest_root(registry, children)

@@ -12,6 +12,7 @@ from pkisn.certs import RevocationKind, SignerRole, make_revocation
 from pkisn.crypto import KeyPair, KeyRole
 from pkisn.monitor import FullMonitor, MinimizedTimeTree
 from pkisn.service import (
+    MAX_BODY_BYTES,
     HandshakeBundle,
     HttpLogClient,
     LogHTTPService,
@@ -273,3 +274,33 @@ def test_subprocess_sigkill_recovery(env):
     finally:
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+def raw_post(address: str, headers: bytes, body: bytes = b"") -> tuple[int, dict]:
+    """POST /v1/submit-chain with hand-written headers; the status and JSON answer."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as s:
+        s.sendall(b"POST /v1/submit-chain HTTP/1.1\r\nHost: " + host.encode() + b"\r\n" + headers + b"\r\n" + body)
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(payload)
+
+
+def test_malformed_request_bodies_get_a_typed_answer(env):
+    fx, vendor, log_key, config, tmp = env
+    service = start_service(config)
+    try:
+        status, err = raw_post(config.listen_address, b"Content-Length: 9\r\n", b"{not json")
+        assert (status, err["error"]) == (400, "JSONDecodeError")
+        for header in [b"", b"Content-Length: -1\r\n", b"Content-Length: ten\r\n"]:
+            status, err = raw_post(config.listen_address, header)
+            assert (status, err["error"]) == (400, "MalformedRequest"), header
+        # Above the cap the answer comes without the body being read.
+        status, err = raw_post(config.listen_address, b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1))
+        assert (status, err["error"]) == (413, "RequestTooLarge")
+        cc = HttpLogClient(f"http://{config.listen_address}").submit_chain(fx.chain)
+        assert cc.verify(log_key.public_bytes)
+    finally:
+        service.shutdown()
