@@ -254,7 +254,9 @@ class LogState:
     """The state the entry stream determines: chronological tree, registry,
     issuance hierarchy and revocation forest. The log and every full monitor
     build it through these methods alone, so a replica's forest root is the
-    log's computation by construction."""
+    log's computation by construction. register and add_revocation file each
+    certificate they touch under its parent; forest_root hands those to the
+    forest, which rewrites only their leaves and the paths above them."""
 
     def __init__(self):
         self.tree = TimeTree()
@@ -265,7 +267,8 @@ class LogState:
         # First registered certificate holding each subject key; fixes forest
         # placement deterministically from the entry stream alone.
         self.key_owner: dict[Digest, Digest] = {}
-        self._dirty: set[Digest | None] = set()  # subtrees whose leaves changed
+        # Certificates registered or revoked since the last rebuild, by parent.
+        self._changed: dict[Digest | None, list[Digest]] = {}
 
     def register(self, cert: Certificate, reg_ts: int) -> bool:
         """Place a certificate in the forest; False if it is already there.
@@ -281,13 +284,13 @@ class LogState:
         self.certs[h] = cert
         self.key_owner.setdefault(cert.subject_key_id, h)
         self.children.setdefault(parent, []).append(h)
-        self._dirty.add(parent)
+        self._changed.setdefault(parent, []).append(h)
         return True
 
     def add_revocation(self, target: Digest, rev_bytes: bytes, reg_ts: int) -> None:
         record = self.registry[target]
         record.revocations.append((rev_bytes, reg_ts))
-        self._dirty.add(record.parent)
+        self._changed.setdefault(record.parent, []).append(target)
 
     def logged_under_other_bytes(self, rev: RevocationMessage) -> bool:
         """True if rev's target already holds a revocation that makes rev's
@@ -299,12 +302,12 @@ class LogState:
         )
 
     def forest_root(self) -> Digest:
-        """Rebuild the subtrees changed since the last call, or reuse the
-        cached top root when nothing changed."""
-        if not self._dirty:
+        """Hand the forest the certificates changed since the last call, or
+        reuse the cached top root when none did."""
+        if not self._changed:
             return self.forest.top_root()
-        dirty, self._dirty = self._dirty, set()
-        return self.forest.rebuild(self.registry, self.children, dirty=dirty)
+        changed, self._changed = self._changed, {}
+        return self.forest.rebuild(self.registry, changed)
 
 
 class LogServer(LogState):

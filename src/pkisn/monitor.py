@@ -563,6 +563,17 @@ def _write_atomically(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _check_roots(roots: dict[int, SignedRoot], log_pub: bytes) -> None:
+    """Fail closed unless every stored signed root verifies under the log's
+    key and is filed under its own timestamp."""
+    for ts, sr in roots.items():
+        if sr.timestamp != ts or not sr.verify(log_pub):
+            raise MonitorError(f"stored signed root for {ts} does not verify")
+
+
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, DecodeError)
+
+
 def save_full_monitor(state_dir: Path, monitor: FullMonitor) -> None:
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -582,7 +593,8 @@ def load_full_monitor(
     vendor_pub: bytes,
 ) -> FullMonitor:
     """Rebuild a replica from disk, re-running the full verification pass;
-    a torn or malformed state fails with MonitorError."""
+    a torn or malformed state, or a stored signed root that does not verify,
+    fails with MonitorError."""
     state_dir = Path(state_dir)
     monitor = FullMonitor(trust_roots, log_pub, vendor_pub)
     entries: list[TimeTreeEntry] = []
@@ -595,8 +607,9 @@ def load_full_monitor(
             end = off + 4 + int.from_bytes(data[off : off + 4], "big")
             entries.append(TimeTreeEntry.decode(data[off + 4 : end]))
             off = end
-    except (AttributeError, KeyError, TypeError, ValueError, DecodeError) as e:
+    except _MALFORMED as e:
         raise MonitorError(f"malformed monitor state: {e}") from e
+    _check_roots(roots, log_pub)
     if entries:
         if not roots:
             raise MonitorError("stored replica has no signed root")
@@ -617,26 +630,29 @@ def save_minimized(path: Path, state: MinimizedTimeTree) -> None:
         "full": [{"index": i, "b64": b64e(e.encode())} for i, e in sorted(state.full_entries.items())],
         "roots": [sr.to_json() for _, sr in sorted(state.signed_roots.items())],
     }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    _write_atomically(Path(path), (json.dumps(payload) + "\n").encode())
 
 
 def load_minimized(path: Path, log_pub: bytes) -> MinimizedTimeTree:
-    obj = json.loads(Path(path).read_text())
+    """Load a lightweight monitor's state; a torn or malformed file, or a
+    stored signed root that does not verify, fails with MonitorError."""
     state = MinimizedTimeTree(log_pub)
     try:
+        obj = json.loads(Path(path).read_text())
         state.tiles = [(t["level"], t["index"], Digest.from_hex(t["digest"])) for t in obj["tiles"]]
         for f in obj["full"]:
             state.full_entries[f["index"]] = TimeTreeEntry.decode(b64d(f["b64"]))
-    except (ValueError, DecodeError) as e:
-        raise MonitorError(f"malformed stored item: {e}") from e
-    state.size = _extend(state.frontier, 0, state.tiles)
-    if state.size != obj["size"]:
-        raise GapInDelta(f"stored tiles end at {state.size}, declared {obj['size']}")
-    state._index(state.tiles, state.full_entries.values())
-    for r in obj["roots"]:
-        sr = SignedRoot.from_json(r)
-        state.signed_roots[sr.timestamp] = sr
-        state.latest_root = sr
+        state.size = _extend(state.frontier, 0, state.tiles)
+        if state.size != obj["size"]:
+            raise GapInDelta(f"stored tiles end at {state.size}, declared {obj['size']}")
+        state._index(state.tiles, state.full_entries.values())
+        for r in obj["roots"]:
+            sr = SignedRoot.from_json(r)
+            state.signed_roots[sr.timestamp] = sr
+            state.latest_root = sr
+    except _MALFORMED as e:
+        raise MonitorError(f"malformed stored state: {e}") from e
+    _check_roots(state.signed_roots, log_pub)
     if state.size and state.latest_root is not None:
         if state.root() != state.latest_root.root:
             raise RootMismatch("stored state does not recompute its signed root")

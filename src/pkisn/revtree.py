@@ -12,9 +12,12 @@ One presence proof therefore authenticates a whole chain at once, including
 every revocation attached to any of its members.
 
 Subtrees persist across updates and are edited in place, as history trees
-are: a revocation, or a child subtree whose root moved, rehashes one leaf and
-its O(log n) ancestors; new certificates are inserted at their sorted
-positions, and only the nodes from the leftmost insert on are hashed again.
+are. LogState hands each rebuild the certificates registered or revoked
+since the last one, filed under their parents, and one rule applies them: a
+listed leaf that is already there is rewritten with its O(log n) ancestors,
+and a new one is inserted at its sorted position, after which only the nodes
+from the leftmost insert on are hashed again. A subtree that changed lists
+its owner under the owner's parent in turn, up to the top.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, is_not
 
 from .certs import CertChain
 from .crypto import Digest, empty_subtree_root, hash_leaf
@@ -204,39 +208,21 @@ def _id_bytes(cert: RegisteredCert) -> bytes:
 _value = attrgetter("value")
 
 
-def _differing(a: list, b: list) -> list[int]:
-    """Positions where two lists of one length differ, found by halving:
-    the few changed ones cost O(log n) slice comparisons each, at C speed."""
-    out, todo = [], [(0, len(a))]
-    while todo:
-        lo, hi = todo.pop()
-        if a[lo:hi] == b[lo:hi]:
-            continue
-        if hi - lo == 1:
-            out.append(lo)
-            continue
-        mid = (lo + hi) // 2
-        todo += [(lo, mid), (mid, hi)]
-    return out
-
-
 class _Subtree:
     """One CA's children (the root CAs for the top), kept across rebuilds and
-    sorted by identity hash. Parallel lists hold each leaf's identity hash,
-    its registry record's revocation list, and the revocations and child
-    root its leaf hash commits to; level 0 of the store holds the leaf
-    hashes.
+    sorted by identity hash. Parallel lists hold each leaf's identity hash
+    and the revocations and child root its leaf hash commits to; level 0 of
+    the store holds the leaf hashes.
 
-    An update edits the store in place. A leaf whose revocation list grew
-    or whose child root moved is rewritten with its O(log n) ancestors
-    (HashStore.set). A new leaf is inserted at its sorted position, which
+    An update names the certificates whose leaves changed. A listed leaf
+    that is already here is rewritten with its O(log n) ancestors
+    (HashStore.set). A missing one is inserted at its sorted position, which
     shifts every leaf right of it, so the store rehashes from the leftmost
     insert on, once per update. A subtree built from empty sorts its leaves
     once and hashes them in one pass instead."""
 
     def __init__(self):
         self.id_hashes: list[Digest] = []
-        self.rev_lists: list[list[tuple[bytes, int]]] = []  # the registry's own lists
         self.revocations: list[tuple[tuple[bytes, int], ...]] = []
         self.child_roots: list[Digest | None] = []
         self.store = HashStore()
@@ -251,48 +237,38 @@ class _Subtree:
         idx = bisect.bisect_left(self.id_hashes, id_hash.value, key=_value)
         return idx, idx < self.size and self.id_hashes[idx] == id_hash
 
-    def _leaf_hash(self, idx: int, subtrees) -> Digest:
-        """Take in the leaf's revocations and its child subtree's root, and hash it."""
-        id_hash = self.id_hashes[idx]
-        child = subtrees.get(id_hash)
-        self.revocations[idx] = revocations = tuple(self.rev_lists[idx])
+    def _leaf_hash(self, idx: int, cert: RegisteredCert, subtrees) -> Digest:
+        """Take in a leaf's revocations and its child subtree's root, and hash it."""
+        child = subtrees.get(cert.id_hash)
+        self.revocations[idx] = revocations = tuple(cert.revocations)
         self.child_roots[idx] = child_root = None if child is None else child.root
-        return rev_leaf_hash(id_hash, revocations, child_root)
+        return rev_leaf_hash(cert.id_hash, revocations, child_root)
 
-    def update(self, children: list[Digest], registry, subtrees, moved: list[Digest]) -> None:
-        """Insert the children appended since the last update, and rehash the
-        leaves whose revocations grew or whose child root moved (the ids in
-        `moved`)."""
+    def update(self, certs: list[Digest], registry, subtrees) -> None:
+        """Bring the leaves of the listed certificates (registry keys, possibly
+        repeated) up to date with their records and child subtrees; a repeat
+        of a leaf already here rewrites it again, which changes nothing."""
         try:
-            new = sorted((registry[ch] for ch in children[self.size:]), key=_id_bytes)
+            listed = [registry[h] for h in certs]
         except KeyError as e:
             raise OrphanCertificate(f"child {e.args[0].hex[:12]} is not registered") from None
-        if not self.id_hashes:  # built from empty: the one sort above, then one pass
-            self.id_hashes = [cert.id_hash for cert in new]
-            self.rev_lists = [cert.revocations for cert in new]
-            self.revocations = [()] * len(new)
-            self.child_roots = [None] * len(new)
-            self.store = HashStore([self._leaf_hash(idx, subtrees) for idx in range(len(new))])
-            self.root = self.store.root() if new else None
-            return
-        for cert in new:
-            idx = self.find(cert.id_hash)[0]
-            self.id_hashes.insert(idx, cert.id_hash)
-            self.rev_lists.insert(idx, cert.revocations)
-            self.revocations.insert(idx, ())
-            self.child_roots.insert(idx, None)
-            self.store.insert(idx, self._leaf_hash(idx, subtrees))
-        # Revocations are appended to the registry's lists in place: compare
-        # their lengths with what the leaves commit to.
-        touched = set(_differing(list(map(len, self.revocations)), list(map(len, self.rev_lists))))
-        for id_hash in moved:
-            idx = self.find(id_hash)[0]
-            if self.child_roots[idx] is not subtrees[id_hash].root:
-                touched.add(idx)
-        for idx in touched:
-            self.store.set(idx, self._leaf_hash(idx, subtrees))
-        if new or touched:
-            self.root = self.store.root()
+        if not self.id_hashes:  # built from empty: one sort, then one hashing pass
+            listed.sort(key=_id_bytes)
+            # A certificate listed twice sorts next to itself and gets one leaf.
+            listed[1:] = compress(listed[1:], map(is_not, listed[1:], listed))
+            self.id_hashes = [cert.id_hash for cert in listed]
+            self.revocations = [()] * len(listed)
+            self.child_roots = [None] * len(listed)
+            self.store = HashStore([self._leaf_hash(idx, cert, subtrees) for idx, cert in enumerate(listed)])
+        else:
+            for cert in listed:
+                idx, present = self.find(cert.id_hash)
+                if not present:
+                    self.id_hashes.insert(idx, cert.id_hash)
+                    self.revocations.insert(idx, ())
+                    self.child_roots.insert(idx, None)
+                (self.store.set if present else self.store.insert)(idx, self._leaf_hash(idx, cert, subtrees))
+        self.root = self.store.root()
 
     def record(self, idx: int) -> SubtreeLeafRecord:
         return SubtreeLeafRecord(
@@ -316,34 +292,29 @@ class RevForest:
     def rebuild(
         self,
         registry: dict[Digest, RegisteredCert],
-        children: dict[Digest | None, list[Digest]],
-        dirty: set[Digest | None] | None = None,
+        changed: dict[Digest | None, list[Digest]],
     ) -> Digest:
-        """Update the subtrees of the certificates in `dirty` (None for the top)
-        and of their ancestors; dirty=None updates every subtree of an emptied
-        forest. Children lists only grow, revocation lists only grow in place,
-        and no certificate changes parent."""
-        if dirty is None:
-            self._subtrees = {None: _Subtree()}
-            dirty = [k for k, ch in children.items() if ch]
-        # A subtree's root is a leaf of its parent's: update children first.
+        """Apply the certificates registered or revoked since the last rebuild,
+        filed like `children` under their parent (None for the top). Subtrees
+        go deepest first, and each one that changed files its owner under the
+        owner's parent, whose leaf commits to its root. Given the whole
+        `children` map, a fresh forest builds every subtree from empty."""
+        # Copies: owners join these lists, and `changed` may be the caller's `children`.
+        pending = {key: list(certs) for key, certs in changed.items() if certs}
         depth: dict[Digest | None, int] = {}
         try:
-            for key in dirty:
+            for key in pending:
                 path = [key]
                 while path[-1] is not None:
                     path.append(registry[path[-1]].parent)
                 depth.update((k, d) for d, k in enumerate(reversed(path)))
         except KeyError as e:
             raise OrphanCertificate(f"parent {e} is not registered") from e
-        moved: dict[Digest | None, list[Digest]] = {}  # parent -> children whose root moved
         for key in sorted(depth, key=depth.get, reverse=True):
             sub_id = None if key is None else registry[key].id_hash
-            subtree = self._subtrees.setdefault(sub_id, _Subtree())
-            root = subtree.root
-            subtree.update(children.get(key, []), registry, self._subtrees, moved.pop(key, []))
-            if key is not None and subtree.root is not root:
-                moved.setdefault(registry[key].parent, []).append(sub_id)
+            self._subtrees.setdefault(sub_id, _Subtree()).update(pending[key], registry, self._subtrees)
+            if key is not None:
+                pending.setdefault(registry[key].parent, []).append(key)
         return self.top_root()
 
     def top_root(self) -> Digest:

@@ -611,6 +611,89 @@ def test_interrupted_save_keeps_the_previous_state(tmp_path, monkeypatch):
     assert load_full_monitor(tmp_path, *keys).tree.root() == monitor.tree.root()
 
 
+def twice_synced_monitor_dir(tmp_path):
+    log, monitor, keys = synced_monitor_dir(tmp_path)
+    log.run_update()
+    assert monitor.sync_from(log).ok and len(monitor.signed_roots) == 2
+    save_full_monitor(tmp_path, monitor)
+    return log, monitor, keys
+
+
+@pytest.mark.parametrize("forgery", ["other-root-hash", "filed-under-another-time"])
+def test_every_stored_signed_root_is_checked_on_load(forgery, tmp_path):
+    # An older stored root that the log never signed would make the monitor
+    # call the log's honest root for that update a fork.
+    log, monitor, keys = twice_synced_monitor_dir(tmp_path)
+    path = tmp_path / "roots.json"
+    stored = json.loads(path.read_text())
+    older = min(stored, key=int)
+    if forgery == "other-root-hash":
+        stored[older]["root"] = hash_leaf(b"a root the log never signed").hex
+    else:
+        stored[str(int(older) + 1)] = stored.pop(older)
+    path.write_text(json.dumps(stored))
+    with pytest.raises(MonitorError):
+        load_full_monitor(tmp_path, *keys)
+
+
+def saved_light_state(tmp_path):
+    fx, log, vendor, log_key, _, _ = leaves_fixture()
+    state = MinimizedTimeTree(log_key.public_bytes)
+    state.apply_delta(build_delta(log, 0, log.last_update_time))
+    path = tmp_path / "light.json"
+    save_minimized(path, state)
+    return log, log_key, state, path
+
+
+def _without_tile_index(obj):
+    del obj["tiles"][0]["index"]
+
+
+def _one_byte_root(obj):
+    obj["roots"][0]["root"] = "00"
+
+
+def _unsigned_older_root(obj):
+    # Only the latest root must recompute from the tiles; an older one must verify.
+    obj["roots"].insert(0, dict(obj["roots"][0], timestamp=obj["roots"][0]["timestamp"] - 1))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["{}", "{not json", _without_tile_index, _one_byte_root, _unsigned_older_root],
+    ids=["empty-object", "not-json", "tile-without-index", "one-byte-root-hash", "unsigned-older-root"],
+)
+def test_damaged_light_monitor_state_fails_closed(damage, tmp_path):
+    log, log_key, state, path = saved_light_state(tmp_path)
+    if isinstance(damage, str):
+        path.write_text(damage)
+    else:
+        obj = json.loads(path.read_text())
+        damage(obj)
+        path.write_text(json.dumps(obj))
+    with pytest.raises(MonitorError):
+        load_minimized(path, log_key.public_bytes)
+
+
+def test_interrupted_light_save_keeps_the_previous_state(tmp_path, monkeypatch):
+    log, log_key, state, path = saved_light_state(tmp_path)
+    saved_root = state.root()
+    log.run_update()
+    state.apply_delta(build_delta(log, state.size, log.last_update_time))
+    assert state.root() != saved_root
+
+    def crash(src, dst):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_minimized(path, state)
+    monkeypatch.undo()
+    assert load_minimized(path, log_key.public_bytes).root() == saved_root
+    save_minimized(path, state)
+    assert load_minimized(path, log_key.public_bytes).root() == state.root()
+
+
 def test_relabelled_revocation_entry_reported():
     fx = ChainFixture()
     log, monitor, vendor, log_key = make_env(fx)

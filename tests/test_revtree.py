@@ -147,22 +147,11 @@ def test_incremental_rebuild_matches_full():
     forest = RevForest()
     forest.rebuild(registry, children)
 
-    def dirty_closure(parent):
-        out = set()
-        key = parent
-        while True:
-            out.add(key)
-            if key is None:
-                break
-            key = registry[key].parent
-        return out
-
     inserted: list[Digest] = []
     ts = 0
     incremental = None
     for step in range(1400):
         ts += 1
-        dirty = set()
         if not inserted or rng.random() < 0.75:
             parent = None if not inserted or rng.random() < 0.1 else rng.choice(inserted)
             cb = rng.randbytes(30)
@@ -171,12 +160,12 @@ def test_incremental_rebuild_matches_full():
             children.setdefault(h, [])
             children.setdefault(parent, []).append(h)
             inserted.append(h)
-            dirty |= dirty_closure(parent)
+            changed = {parent: [h]}
         else:
             target = rng.choice(inserted)
             registry[target].revocations.append((rng.randbytes(20), ts))
-            dirty |= dirty_closure(registry[target].parent)
-        incremental = forest.rebuild(registry, children, dirty=dirty)
+            changed = {registry[target].parent: [target]}
+        incremental = forest.rebuild(registry, changed)
         if step % 25 == 0:
             full = RevForest().rebuild(registry, children)
             assert incremental == full, step
@@ -410,29 +399,6 @@ def test_orphan_certificate_rejected():
         RevForest().rebuild(registry, children)
 
 
-def test_revoking_the_last_leaf_rehashes_one_path(monkeypatch):
-    # Nodes left of the first changed leaf are kept across rebuilds, so a
-    # revocation at the right edge of 512 leaves costs one 9-level path.
-    rng = random.Random(16)
-    registry, children = synth_registry(rng, n_roots=1, n_mid=0, n_leaves=0, revs=0)
-    ca = children[None][0]
-    for _ in range(512):
-        cb = rng.randbytes(30)
-        h = hash_leaf(cb)
-        registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=300, parent=ca, revocations=[])
-        children[h] = []
-        children[ca].append(h)
-    forest = forest_of(registry, children)
-    last = max(children[ca], key=lambda h: registry[h].id_hash.value)
-    registry[last].revocations.append((b"revocation", 400))
-    calls = []
-    hash_node = merkle.hash_node
-    monkeypatch.setattr(merkle, "hash_node", lambda l, r: calls.append(1) or hash_node(l, r))
-    root = forest.rebuild(registry, children, dirty={ca, None})
-    assert len(calls) <= 2 * 9 + 4
-    assert root.value == bf_forest_root(registry, children)
-
-
 def test_incremental_records_match_fresh_forest():
     # Every presence record and absence bracket of a forest kept across
     # random inserts and revocations equals the one of a fresh rebuild.
@@ -449,7 +415,7 @@ def test_incremental_records_match_fresh_forest():
         return out
 
     for step in range(300):
-        dirty = set()
+        changed = {}
         for _ in range(rng.randrange(1, 4)):
             if not inserted or rng.random() < 0.7:
                 parent = None if not inserted or rng.random() < 0.1 else rng.choice(inserted)
@@ -459,13 +425,12 @@ def test_incremental_records_match_fresh_forest():
                 children[h] = []
                 children[parent].append(h)
                 inserted.append(h)
-                changed = parent
+                changed.setdefault(parent, []).append(h)
             else:
                 target = rng.choice(inserted)
                 registry[target].revocations.append((rng.randbytes(20), step))
-                changed = registry[target].parent
-            dirty.add(changed)  # rebuild adds the ancestors
-        forest.rebuild(registry, children, dirty=dirty)
+                changed.setdefault(registry[target].parent, []).append(target)
+        forest.rebuild(registry, changed)  # rebuild adds the ancestors
         if step % 60 == 59:
             fresh = forest_of(registry, children)
             assert forest.top_root() == fresh.top_root(), step
@@ -498,6 +463,76 @@ def test_revoking_any_leaf_rehashes_one_path(monkeypatch, where):
     for name in ("hash_node_raw", "hash_node"):
         fn = getattr(merkle, name)
         monkeypatch.setattr(merkle, name, lambda l, r, fn=fn: calls.append(1) or fn(l, r))
-    root = forest.rebuild(registry, children, dirty={ca, None})
+    root = forest.rebuild(registry, {ca: [target]})
     assert len(calls) <= 2 * 9 + 4
     assert root.value == bf_forest_root(registry, children)
+
+
+class CountingList(list):
+    """A revocation list that counts how often it is read whole."""
+
+    reads = 0
+
+    def __len__(self):
+        self.reads += 1
+        return super().__len__()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_revoking_one_leaf_reads_only_its_own_revocations():
+    # The forest is told which certificate changed: a revocation under a CA
+    # of 4,096 children reads the revoked leaf's list and the CA's, and no
+    # other leaf's.
+    rng = random.Random(19)
+    registry: dict[Digest, RegisteredCert] = {}
+    children: dict = {None: []}
+
+    def add(parent):
+        cb = rng.randbytes(30)
+        h = hash_leaf(cb)
+        registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=300, parent=parent, revocations=CountingList())
+        children[h] = []
+        children[parent].append(h)
+        return h
+
+    ca = add(None)
+    for _ in range(4096):
+        add(ca)
+    forest = forest_of(registry, children)
+    target = children[ca][1234]
+    for rec in registry.values():
+        rec.revocations.reads = 0
+    registry[target].revocations.append((b"revocation", 400))
+    root = forest.rebuild(registry, {ca: [target]})
+    assert {h for h, rec in registry.items() if rec.revocations.reads} <= {target, ca}
+    assert sum(rec.revocations.reads for rec in registry.values()) <= 4
+    assert root.value == bf_forest_root(registry, children)
+
+
+@pytest.mark.parametrize("top", ["empty", "populated"])
+def test_ca_registered_with_its_children_gets_one_leaf(top):
+    # A CA listed under its parent is listed there again when its own new
+    # subtree moves: either way its parent holds one leaf for it.
+    rng = random.Random(20)
+    n_roots = 0 if top == "empty" else 3
+    registry, children = synth_registry(rng, n_roots=n_roots, n_mid=0, n_leaves=0, revs=0)
+    forest = forest_of(registry, children)
+    cb = rng.randbytes(30)
+    ca = hash_leaf(cb)
+    registry[ca] = RegisteredCert(cert_bytes=cb, reg_ts=500, parent=None, revocations=[])
+    children[None].append(ca)
+    children[ca] = []
+    changed = {None: [ca], ca: []}
+    for _ in range(5):
+        cb = rng.randbytes(30)
+        h = hash_leaf(cb)
+        registry[h] = RegisteredCert(cert_bytes=cb, reg_ts=500, parent=ca, revocations=[])
+        children[h] = []
+        children[ca].append(h)
+        changed[ca].append(h)
+    root = forest.rebuild(registry, changed)
+    assert root.value == bf_forest_root(registry, children)
+    assert forest.prove_chain([registry[ca].id_hash])[0].subtree_size == n_roots + 1
