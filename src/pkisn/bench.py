@@ -1,14 +1,15 @@
 """Throughput and latency measurements on the host machine.
 
 Reports chain registrations per second (verification plus signed
-commitment), the wall time of one update merging ten thousand chains, and
-the mean latency of a complete client validation whose proof carries two
-revocation messages.
+commitment), the wall time of one update merging ten thousand chains, the
+mean latency of a complete client validation whose proof carries two
+revocation messages, and the memory the log holds per logged leaf.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 from .certs import CertChain, RevocationKind, SignerRole, make_certificate, make_revocation
@@ -30,6 +31,7 @@ class BenchReport:
     update_chain_count: int
     validation_ms_mean: float
     validation_count: int
+    log_bytes_per_leaf: float
 
     def to_json(self) -> dict:
         return {
@@ -39,6 +41,7 @@ class BenchReport:
             "update_chain_count": self.update_chain_count,
             "validation_ms_mean": round(self.validation_ms_mean, 3),
             "validation_count": self.validation_count,
+            "log_bytes_per_leaf": round(self.log_bytes_per_leaf),
         }
 
 
@@ -135,6 +138,21 @@ def run_bench(
         is_valid(inp)
     val_elapsed = time.perf_counter() - t0
 
+    # Memory the log holds per leaf, in a pass of its own so that tracing
+    # slows no timed figure. The chains are built before tracing starts, so
+    # the figure counts what the log adds to each submitted certificate.
+    chains = _chains(registration_chains, root, inter, inter_key, leaf_key)
+    tracemalloc.start()
+    try:
+        log = fresh_log()
+        for chain in chains:
+            log.submit_chain(chain)
+        log.run_update()
+        del chains
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
     return BenchReport(
         registrations_per_second=reg_rate,
         registration_count=registration_chains,
@@ -142,4 +160,5 @@ def run_bench(
         update_chain_count=update_chains,
         validation_ms_mean=val_elapsed / validations * 1000.0,
         validation_count=validations,
+        log_bytes_per_leaf=held / registration_chains,
     )

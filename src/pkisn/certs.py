@@ -98,13 +98,14 @@ class Certificate:
         if self.is_ca != (self.revocation_public_key is not None):
             raise CertError("revocation key present iff certificate is a CA")
 
-    @cached_property
+    @property
     def tbs_bytes(self) -> bytes:
-        return canonical_tbs_bytes(self)
+        """The signed fields: canonical_bytes without the issuer signature."""
+        return self.canonical_bytes[: -len(self.issuer_signature.encode())]
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        return self.tbs_bytes + self.issuer_signature.encode()
+        return canonical_tbs_bytes(self) + self.issuer_signature.encode()
 
     @cached_property
     def cert_hash(self) -> Digest:
@@ -123,7 +124,7 @@ def canonical_tbs_bytes(cert: Certificate) -> bytes:
     """Deterministic to-be-signed encoding of every field except the signature."""
     out = u64(cert.serial)
     out += lp(cert.subject_name.encode("utf-8"))
-    out += cert.issuer_key_id.value
+    out += cert.issuer_key_id
     out += lp(cert.subject_public_key)
     out += u8(1 if cert.is_ca else 0)
     out += u64(cert.not_before)
@@ -147,7 +148,6 @@ def decode_certificate(data: bytes) -> Certificate:
     not_after = r.u64()
     rk_flag = r.u8()
     rk = r.lp() if rk_flag == 1 else None
-    tbs_end = r.offset
     sig = Signature.read_from(r)
     r.done()
     cert = Certificate(
@@ -165,7 +165,7 @@ def decode_certificate(data: bytes) -> Certificate:
     if ca_flag <= 1 and rk_flag <= 1:
         # Every other field has one encoding (strict UTF-8 included), so the
         # input is exactly what re-encoding would produce.
-        cert.__dict__.update(tbs_bytes=data[:tbs_end], canonical_bytes=data)
+        cert.__dict__["canonical_bytes"] = data
     return cert
 
 
@@ -259,18 +259,18 @@ class RevocationMessage:
 
     def signed_payload(self) -> bytes:
         if self.kind == RevocationKind.LEAF_REVOKE:
-            return self.target_cert_hash.value
-        return self.target_cert_hash.value + u64(self.rev_timestamp)
+            return self.target_cert_hash
+        return self.target_cert_hash + u64(self.rev_timestamp)
 
     @cached_property
     def canonical_bytes(self) -> bytes:
         out = u8(int(self.kind))
-        out += self.target_cert_hash.value
+        out += self.target_cert_hash
         if self.kind == RevocationKind.CA_REVOKE_FROM:
             out += u64(self.rev_timestamp)
         out += u8(int(self.signer_role))
         out += u16(self.signer_depth)
-        out += self.signer_key_id.value
+        out += self.signer_key_id
         out += self.signature.encode()
         return out
 

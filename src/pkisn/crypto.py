@@ -5,6 +5,10 @@ are hashed as H(0x00 || entry) and internal nodes as H(0x01 || left || right)
 so a leaf payload can never collide with a node encoding. Signatures are
 Ed25519 for every role; each signed payload carries a one-byte domain tag so
 a signature made for one message type never verifies as another.
+
+There is one hash type, Digest, an immutable bytes subclass. The Merkle
+store keeps its leaves as Digests and the levels above them as plain bytes,
+hashed by hash_node_raw.
 """
 
 from __future__ import annotations
@@ -59,41 +63,44 @@ class UnregisteredTag(CryptoError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Digest:
-    """32-byte hash value; ordering is unsigned big-endian byte order."""
+class Digest(bytes):
+    """32-byte hash value, and the one hash type: an immutable bytes, so
+    hashing, equality and ordering (unsigned big-endian) run in C, and
+    Digest(x) == x for the raw bytes x. The .hex property shadows
+    bytes.hex() and returns the hex string directly; .value is the plain
+    bytes, kept for tests."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.value, bytes) or len(self.value) != DIGEST_LEN:
+    def __new__(cls, value: bytes) -> "Digest":
+        if not isinstance(value, bytes) or len(value) != DIGEST_LEN:
             raise ValueError(f"digest must be {DIGEST_LEN} bytes")
+        return bytes.__new__(cls, value)
 
-    # Digests key most dicts in the system; hash/eq on the raw bytes beats
-    # the generated tuple-based versions by a wide margin.
-    def __hash__(self):
-        return hash(self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, Digest) and self.value == other.value
+    @property
+    def value(self) -> bytes:
+        return bytes(self)
 
     @property
     def hex(self) -> str:
-        return self.value.hex()
+        return bytes.hex(self)
 
     @classmethod
     def from_hex(cls, text: str) -> "Digest":
         return cls(bytes.fromhex(text))
 
     def __repr__(self):
-        return f"Digest({self.value.hex()[:12]}…)"
+        return f"Digest({bytes.hex(self)[:12]}…)"
+
+    __str__ = __repr__  # bytes.__str__ would print the raw bytes in messages
 
 
 ZERO_DIGEST = Digest(b"\x00" * DIGEST_LEN)
 
 
 def sha256(data: bytes) -> Digest:
-    return Digest(hashlib.sha256(data).digest())
+    # A SHA-256 output is always 32 bytes, so the length check is skipped.
+    return bytes.__new__(Digest, hashlib.sha256(data).digest())
 
 
 def hash_leaf(entry_bytes: bytes) -> Digest:
@@ -101,11 +108,12 @@ def hash_leaf(entry_bytes: bytes) -> Digest:
 
 
 def hash_node(left: Digest, right: Digest) -> Digest:
-    return sha256(NODE_PREFIX + left.value + right.value)
+    return sha256(NODE_PREFIX + left + right)
 
 
 def hash_node_raw(left: bytes, right: bytes) -> bytes:
-    """hash_node over raw 32-byte values, as the Merkle store keeps its levels."""
+    """hash_node returning plain bytes, as the Merkle store keeps the levels
+    above its leaves: a Digest per internal node would cost more to make."""
     return hashlib.sha256(NODE_PREFIX + left + right).digest()
 
 
@@ -126,7 +134,7 @@ class KeyRole(str, Enum):
     LOG = "log"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """Ed25519 signature plus the identity of the key and the payload tag."""
 
@@ -135,7 +143,7 @@ class Signature:
     value: bytes
 
     def encode(self) -> bytes:
-        return self.signer_key_id.value + u8(self.payload_tag) + lp(self.value)
+        return self.signer_key_id + u8(self.payload_tag) + lp(self.value)
 
     @classmethod
     def read_from(cls, r: Reader) -> "Signature":

@@ -44,7 +44,7 @@ class JournalRecord:
 
 
 def encode_update(now: int, forest_root: Digest, tree_root: Digest) -> bytes:
-    return u64(now) + forest_root.value + tree_root.value
+    return u64(now) + forest_root + tree_root
 
 
 def decode_update(payload: bytes) -> tuple[int, tuple[Digest, Digest] | None]:

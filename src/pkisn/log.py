@@ -124,7 +124,7 @@ class ChainCommitment:
     log_signature: Signature
 
     def payload(self) -> bytes:
-        out = self.leaf_cert_hash.value + u8(len(self.timestamps))
+        out = self.leaf_cert_hash + u8(len(self.timestamps))
         for t in self.timestamps:
             out += u64(t)
         return out
@@ -155,7 +155,7 @@ class SignedRoot:
     log_signature: Signature
 
     def payload(self) -> bytes:
-        return self.root.value + u64(self.timestamp)
+        return self.root + u64(self.timestamp)
 
     def verify(self, log_pub: bytes) -> bool:
         return verify(log_pub, TAG_SIGNED_ROOT, self.payload(), self.log_signature)
@@ -183,7 +183,7 @@ class RevocationCommitment:
     log_signature: Signature
 
     def payload(self) -> bytes:
-        return self.rev_hash.value + u64(self.timestamp)
+        return self.rev_hash + u64(self.timestamp)
 
     def verify(self, log_pub: bytes) -> bool:
         return verify(log_pub, TAG_REVOCATION_COMMITMENT, self.payload(), self.log_signature)
@@ -440,7 +440,7 @@ class LogServer(LogState):
         if tcrl_hash not in self.pending_tcrls:
             self.pending_tcrls.append(tcrl_hash)
             if self._journal is not None:
-                self._journal.append(jr.REC_TCRL, tcrl_hash.value)
+                self._journal.append(jr.REC_TCRL, tcrl_hash)
 
     def _sign_rev_commitment(self, rev: RevocationMessage, ts: int) -> RevocationCommitment:
         return self._sign(TAG_REVOCATION_COMMITMENT, RevocationCommitment(rev.rev_hash, ts, None))
@@ -492,11 +492,11 @@ class LogServer(LogState):
         self._pending_commitments.clear()
 
         for tcrl_hash in self.pending_tcrls:
-            batch.append(TimeTreeEntry(EntryKind.TCRL, tcrl_hash.value, now))
+            batch.append(TimeTreeEntry(EntryKind.TCRL, tcrl_hash, now))
         self.pending_tcrls.clear()
 
         forest_root = self.forest_root() if journaled is None else journaled[0]
-        batch.append(TimeTreeEntry(EntryKind.REV_TREE_ROOT, forest_root.value, now))
+        batch.append(TimeTreeEntry(EntryKind.REV_TREE_ROOT, forest_root, now))
         root = self.tree.append(batch)
         if journaled is not None and root != journaled[1]:
             raise ReplayMismatch(now, "tree root differs from the journaled one")

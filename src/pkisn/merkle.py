@@ -10,21 +10,19 @@ the lightweight monitor's frontier all build on it.
 A node is a tuple (level, index, hash) naming the complete subtree over
 leaves [index * 2^level, (index + 1) * 2^level).
 
-HashStore keeps its levels as raw 32-byte values and hashes them with
-crypto.hash_node_raw; Digest appears only where a hash enters or leaves the
-store. The frontier functions (push, fold) and the proof verifiers work on
-Digest values.
+There is one hash type, Digest, and it is bytes. HashStore keeps the leaf
+Digests it is given at level 0 and the nodes above them as plain bytes,
+hashed by crypto.hash_node_raw; what it hands out is a Digest. Everything
+else here (push, fold, the proof verifiers) hashes through hash_node.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import attrgetter
 
 from .crypto import Digest, hash_node, hash_node_raw, sha256
 
 Node = tuple[int, int, Digest]
-_value = attrgetter("value")
 
 
 def push(frontier: list[Node], node: Node) -> None:
@@ -51,11 +49,11 @@ def fold(nodes: list[Node]) -> Digest:
 
 class HashStore:
     """Leaf hashes and every complete aligned node above them, one array per
-    level: levels[level][index] is the raw 32-byte hash of node (level, index).
+    level: levels[level][index] is the 32-byte hash of node (level, index).
 
-    Levels hold bytes and hash through hash_node_raw; a Digest exists only at
-    the edges, in the leaves handed to the constructor, append, set and
-    insert, and in what root, cover, range_hash and audit_path return.
+    Level 0 holds the leaf Digests as given. The levels above hold plain
+    bytes from hash_node_raw, since a Digest per internal node would cost
+    more to make; root, cover, range_hash and audit_path return Digests.
     Appending hashes the nodes the new leaves complete, and ragged ranges on
     the right edge fold O(log n) stored nodes. set rewrites one leaf and its
     ancestors in place. insert shifts every leaf right of it, so it drops
@@ -63,7 +61,7 @@ class HashStore:
     for any number of inserts."""
 
     def __init__(self, leaf_hashes: Iterable[Digest] = ()):
-        self.levels: list[list[bytes]] = [[]]
+        self.levels: list[list[bytes]] = [[]]  # level 0 holds Digests
         self._stale = False  # inserts left nodes to rehash
         self.append(leaf_hashes)
 
@@ -71,7 +69,7 @@ class HashStore:
         return len(self.levels[0])
 
     def append(self, leaf_hashes: Iterable[Digest]) -> None:
-        self.levels[0].extend(map(_value, leaf_hashes))
+        self.levels[0].extend(leaf_hashes)
         self._fill()
 
     def _fill(self) -> None:
@@ -92,7 +90,7 @@ class HashStore:
         if not 0 <= index < len(self):
             raise IndexError(f"leaf {index} outside {len(self)} leaves")
         below = self.levels[0]
-        below[index] = leaf_hash.value
+        below[index] = leaf_hash
         for row in self.levels[1:]:
             index >>= 1
             if index >= len(row):
@@ -105,12 +103,13 @@ class HashStore:
         it are rehashed on the next read."""
         if not 0 <= index <= len(self):
             raise IndexError(f"position {index} outside {len(self)} leaves")
-        self.levels[0].insert(index, leaf_hash.value)
+        self.levels[0].insert(index, leaf_hash)
         for level in range(1, len(self.levels)):
             del self.levels[level][index >> level:]
         self._stale = True
 
-    def _cover(self, lo: int, hi: int) -> list[tuple[int, int, bytes]]:
+    def cover(self, lo: int, hi: int) -> list[Node]:
+        """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
         if not 0 <= lo <= hi <= len(self):
             raise ValueError(f"bad range [{lo}, {hi}) over {len(self)} leaves")
         if self._stale:
@@ -120,23 +119,9 @@ class HashStore:
             level = (hi - lo).bit_length() - 1
             if lo:
                 level = min(level, (lo & -lo).bit_length() - 1)
-            nodes.append((level, lo >> level, self.levels[level][lo >> level]))
+            nodes.append((level, lo >> level, Digest(self.levels[level][lo >> level])))
             lo += 1 << level
         return nodes
-
-    def cover(self, lo: int, hi: int) -> list[Node]:
-        """Greedy tiling of leaves [lo, hi) by maximal aligned nodes, left to right."""
-        return [(level, index, Digest(value)) for level, index, value in self._cover(lo, hi)]
-
-    def _fold(self, lo: int, hi: int) -> Digest:
-        """fold over the cover of [lo, hi), on raw values."""
-        nodes = self._cover(lo, hi)
-        if not nodes:
-            return sha256(b"")
-        acc = nodes[-1][2]
-        for _, _, value in reversed(nodes[:-1]):
-            acc = hash_node_raw(value, acc)
-        return Digest(acc)
 
     def range_hash(self, lo: int, hi: int) -> Digest:
         """Root of the subtree over leaves [lo, hi), which must be a node of
@@ -144,10 +129,10 @@ class HashStore:
         n = hi - lo
         if n <= 0 or lo % (1 << (n - 1).bit_length()):
             raise ValueError(f"[{lo}, {hi}) is not a node of a prefix tree")
-        return self._fold(lo, hi)
+        return fold(self.cover(lo, hi))
 
     def root(self, size: int | None = None) -> Digest:
-        return self._fold(0, len(self) if size is None else size)
+        return fold(self.cover(0, len(self) if size is None else size))
 
     def audit_path(self, index: int, size: int | None = None) -> list[Digest]:
         """Sibling hashes from the leaf up to the root of the size-prefix tree."""

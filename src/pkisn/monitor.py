@@ -199,7 +199,7 @@ class FullMonitor(LogState):
             # Our own forest over everything seen so far must summarize to
             # what the log claims.
             forest_root = self.forest_root()
-            if forest_root.value != entry.payload:
+            if forest_root != entry.payload:
                 return self._invalid(entry, index, "forest root does not match the logged objects",
                                      computed=forest_root.hex)
         return None if why is None else self._invalid(entry, index, why)
@@ -302,7 +302,7 @@ ITEM_HASH = "hash"
 ITEM_FULL = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaItem:
     kind: str
     level: int
@@ -409,7 +409,7 @@ def build_delta(log, from_size: int, now: int) -> DeltaUpdate:
                 while run_end < j and prunable(entries[run_end]):
                     run_end += 1
                 items.extend(
-                    DeltaItem(ITEM_COVER if level else ITEM_HASH, level, index, digest.value)
+                    DeltaItem(ITEM_COVER if level else ITEM_HASH, level, index, digest)
                     for level, index, digest in log.tree.cover(from_size + k, from_size + run_end)
                 )
                 k = run_end
@@ -417,7 +417,7 @@ def build_delta(log, from_size: int, now: int) -> DeltaUpdate:
             if entry.kind == EntryKind.REVOCATION:
                 items.append(DeltaItem(ITEM_FULL, 0, abs_idx, entry.encode()))
             else:
-                items.append(DeltaItem(ITEM_HASH, 0, abs_idx, entry.leaf_hash.value))
+                items.append(DeltaItem(ITEM_HASH, 0, abs_idx, entry.leaf_hash))
             k += 1
         batches.append(DeltaBatch(ts=ts, items=tuple(items)))
         i = j

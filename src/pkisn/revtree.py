@@ -56,7 +56,7 @@ class ActuallyPresent(RevTreeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisteredCert:
     """Registry view of one logged certificate, as the forest consumes it."""
 
@@ -89,10 +89,10 @@ def rev_leaf_hash(
     child_root: Digest | None,
 ) -> Digest:
     """Hash of one forest leaf; commits to identity, revocations, and child subtree."""
-    out = id_hash.value + u16(len(revocations))
+    out = id_hash + u16(len(revocations))
     for rev_bytes, reg_ts in revocations:
         out += lp(rev_bytes) + u64(reg_ts)
-    out += child_root.value if child_root is not None else ZERO32
+    out += child_root if child_root is not None else ZERO32
     return hash_leaf(out)
 
 
@@ -201,18 +201,12 @@ class AbsenceProof:
         )
 
 
-def _id_bytes(cert: RegisteredCert) -> bytes:
-    return cert.id_hash.value
-
-
-_value = attrgetter("value")
-
-
 class _Subtree:
     """One CA's children (the root CAs for the top), kept across rebuilds and
     sorted by identity hash. Parallel lists hold each leaf's identity hash
     and the revocations and child root its leaf hash commits to; level 0 of
-    the store holds the leaf hashes.
+    the store holds the leaf hashes. Hashes are Digests, which are bytes, so
+    the sort and the bisect compare them directly.
 
     An update names the certificates whose leaves changed. A listed leaf
     that is already here is rewritten with its O(log n) ancestors
@@ -234,7 +228,7 @@ class _Subtree:
 
     def find(self, id_hash: Digest) -> tuple[int, bool]:
         """Position of id_hash, or of the next leaf up, and whether it is there."""
-        idx = bisect.bisect_left(self.id_hashes, id_hash.value, key=_value)
+        idx = bisect.bisect_left(self.id_hashes, id_hash)
         return idx, idx < self.size and self.id_hashes[idx] == id_hash
 
     def _leaf_hash(self, idx: int, cert: RegisteredCert, subtrees) -> Digest:
@@ -253,7 +247,7 @@ class _Subtree:
         except KeyError as e:
             raise OrphanCertificate(f"child {e.args[0].hex[:12]} is not registered") from None
         if not self.id_hashes:  # built from empty: one sort, then one hashing pass
-            listed.sort(key=_id_bytes)
+            listed.sort(key=attrgetter("id_hash"))
             # A certificate listed twice sorts next to itself and gets one leaf.
             listed[1:] = compress(listed[1:], map(is_not, listed[1:], listed))
             self.id_hashes = [cert.id_hash for cert in listed]
@@ -365,7 +359,7 @@ def _chain_levels_root(levels: tuple[SubtreeLeafRecord, ...]) -> Digest | None:
 
 
 def _root_entry_binds(top_root: Digest, proof: InclusionProof, signed_root) -> bool:
-    entry = TimeTreeEntry(EntryKind.REV_TREE_ROOT, top_root.value, signed_root.timestamp)
+    entry = TimeTreeEntry(EntryKind.REV_TREE_ROOT, top_root, signed_root.timestamp)
     return verify_inclusion(entry.encode(), proof, signed_root.root)
 
 

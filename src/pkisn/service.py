@@ -306,8 +306,7 @@ class HttpLogClient:
         self.base = base_url.rstrip("/")
 
     def _get(self, path: str) -> dict:
-        with urllib.request.urlopen(self.base + path) as resp:
-            return json.loads(resp.read())
+        return self._open(self.base + path)
 
     def _post(self, path: str, body: dict) -> dict:
         req = urllib.request.Request(
@@ -316,6 +315,11 @@ class HttpLogClient:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
+        return self._open(req)
+
+    @staticmethod
+    def _open(req: str | urllib.request.Request) -> dict:
+        """The decoded JSON reply; an error status raises RemoteLogError."""
         try:
             with urllib.request.urlopen(req) as resp:
                 return json.loads(resp.read())

@@ -15,7 +15,7 @@ import bisect
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, lt
 
 from .crypto import (
     TAG_TCRL,
@@ -37,7 +37,7 @@ class TcrlEntry:
     reg_ts: int
 
     def encode(self) -> bytes:
-        return self.cert_hash.value + lp(self.rev_bytes) + u64(self.reg_ts)
+        return self.cert_hash + lp(self.rev_bytes) + u64(self.reg_ts)
 
     def to_json(self) -> dict:
         return {"cert_hash": self.cert_hash.hex, "rev_bytes": b64e(self.rev_bytes), "reg_ts": self.reg_ts}
@@ -47,9 +47,19 @@ class TcrlEntry:
         return cls(Digest.from_hex(obj["cert_hash"]), b64d(obj["rev_bytes"]), obj["reg_ts"])
 
 
+_ORDER = attrgetter("cert_hash", "reg_ts", "rev_bytes")
+
+
 def _sorted(entries) -> tuple[TcrlEntry, ...]:
     """The one order of bundle entries: by target, then time, then bytes."""
-    return tuple(sorted(entries, key=attrgetter("cert_hash", "reg_ts", "rev_bytes")))
+    return tuple(sorted(entries, key=_ORDER))
+
+
+def _in_order(entries: tuple[TcrlEntry, ...]) -> bool:
+    """True iff the entries strictly increase in the one order, as lookup's
+    bisection needs: a signature over unsorted entries would hide revocations."""
+    keys = list(map(_ORDER, entries))
+    return all(map(lt, keys, keys[1:]))
 
 
 def _sig_json(sig: Signature | None) -> str | None:
@@ -152,6 +162,8 @@ def commit_tcrl(log: LogServer, tcrl: Tcrl) -> Tcrl:
     """Queue the bundle's hash in the log; returns the bundle carrying the
     log's commitment."""
     vendor_pub = log.config.vendor_public_key
+    if not _in_order(tcrl.entries):
+        raise ValueError("bundle entries are not in canonical order")
     if not _vendor_signed(vendor_pub, tcrl, tcrl.vendor_signature):
         raise BadVendorSignature("bundle is not validly vendor-signed")
     commitment = log.submit_tcrl_hash(tcrl.tcrl_hash)
@@ -162,7 +174,7 @@ def attach_inclusion(log: LogServer, tcrl: Tcrl) -> Tcrl:
     """After an update, swap the bare commitment for an inclusion proof.
     Only the entries of the update at the committed time are searched."""
     ts = tcrl.log_commitment.timestamp
-    entry = TimeTreeEntry(EntryKind.TCRL, tcrl.tcrl_hash.value, ts)
+    entry = TimeTreeEntry(EntryKind.TCRL, tcrl.tcrl_hash, ts)
     at = bisect.bisect_left(log.updates, ts, key=attrgetter("timestamp"))
     if at < len(log.updates) and log.updates[at].timestamp == ts:
         start = log.updates[at - 1].tree_size if at else 0
@@ -184,7 +196,7 @@ def verify_tcrl(
     With require_inclusion=False a signed commitment suffices; otherwise the
     bundle must carry an inclusion proof against a signed root.
     """
-    if not _vendor_signed(vendor_pub, tcrl, tcrl.vendor_signature):
+    if not _in_order(tcrl.entries) or not _vendor_signed(vendor_pub, tcrl, tcrl.vendor_signature):
         return False
     if tcrl.inclusion is not None:
         proof, signed_root = tcrl.inclusion
@@ -192,7 +204,7 @@ def verify_tcrl(
             return False
         entry = TimeTreeEntry(
             EntryKind.TCRL,
-            tcrl.tcrl_hash.value,
+            tcrl.tcrl_hash,
             tcrl.log_commitment.timestamp if tcrl.log_commitment else signed_root.timestamp,
         )
         return verify_inclusion(entry.encode(), proof, signed_root.root)

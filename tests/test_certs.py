@@ -11,6 +11,7 @@ from pkisn.certs import (
     RevocationKind,
     SignerRole,
     TimestampAfterExpiry,
+    canonical_tbs_bytes,
     decode_certificate,
     decode_revocation,
     make_certificate,
@@ -304,3 +305,12 @@ def test_decoding_keeps_the_bytes_it_read(monkeypatch):
     back = decode_revocation(rev_raw)
     assert back.canonical_bytes is rev_raw
     assert back.rev_hash == rev.rev_hash
+
+
+def test_decoded_certificate_keeps_only_its_canonical_bytes():
+    fx = ChainFixture()
+    for cert in fx.chain.certs:
+        back = decode_certificate(cert.canonical_bytes)
+        assert "tbs_bytes" not in back.__dict__
+        assert back.tbs_bytes == canonical_tbs_bytes(cert)
+        assert "tbs_bytes" not in back.__dict__

@@ -189,6 +189,15 @@ def test_bench_smoke(workspace):
     assert out["registrations_per_second"] > 0
     assert out["update_seconds"] >= 0
     assert out["validation_ms_mean"] > 0
+    assert out["log_bytes_per_leaf"] > 0
+
+
+def test_bench_log_bytes_per_leaf_stays_bounded(workspace):
+    # 1,734 B per leaf when a hash was a dataclass around bytes and a decoded
+    # certificate kept its tbs_bytes; 1,333 B with Digest a bytes subclass.
+    out = run_cli(["bench", "--registrations", "2000", "--update-chains", "10", "--validations", "5"])
+    assert out["registration_count"] == 2000
+    assert 0 < out["log_bytes_per_leaf"] < 1_500
 
 
 def test_second_monitor_sync_resumes_from_saved_state(workspace):

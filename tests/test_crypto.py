@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -87,6 +89,43 @@ def test_digest_ordering_matches_bytes():
 def test_digest_length_enforced():
     with pytest.raises(ValueError):
         Digest(b"\x00" * 31)
+
+
+def test_digest_is_bytes_without_a_dict():
+    d = hash_leaf(b"one type")
+    assert isinstance(d, bytes)
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        d.extra = 1
+
+
+@pytest.mark.parametrize("value", ["\x00" * 32, bytearray(32), 7, b"\x00" * 33, b""])
+def test_digest_rejects_non_bytes_and_wrong_lengths(value):
+    with pytest.raises(ValueError):
+        Digest(value)
+
+
+def test_digest_sorts_hashes_and_compares_as_its_bytes():
+    rng = random.Random(11)
+    raw = [rng.randbytes(32) for _ in range(300)]
+    digests = [Digest(x) for x in raw]
+    assert [bytes(d) for d in sorted(digests)] == sorted(raw)
+    for d, x in zip(digests, raw):
+        assert d == x and hash(d) == hash(x)
+    assert {x: 1 for x in raw}[digests[0]] == 1
+
+
+def test_digest_hex_and_value():
+    d = hash_leaf(b"")
+    assert d.hex == GOLDEN_LEAF_EMPTY  # a property, shadowing bytes.hex()
+    assert Digest.from_hex(d.hex) == d
+    assert type(d.value) is bytes and d.value == d
+
+
+def test_digest_survives_pickle_and_deepcopy():
+    d = hash_leaf(b"copy me")
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert type(copied) is Digest and copied == d
 
 
 def test_sign_verify_round_trip():

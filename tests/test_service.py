@@ -105,6 +105,23 @@ def test_http_error_mapping(env):
         service.shutdown()
 
 
+def test_http_get_errors_raise_remote_log_error(env):
+    fx, vendor, log_key, config, tmp = env
+    service = start_service(config)
+    try:
+        client = HttpLogClient(f"http://{config.listen_address}")
+        with pytest.raises(RemoteLogError) as err:
+            client.latest_signed_root()  # no update has run yet
+        assert err.value.status == 409 and err.value.detail["error"] == "NoUpdateYet"
+        client.submit_chain(fx.chain)
+        client.run_update()
+        with pytest.raises(RemoteLogError) as err:
+            client.get_entries(5, 10**9)
+        assert err.value.status == 400
+    finally:
+        service.shutdown()
+
+
 def test_http_revocation_monitor_and_delta(env):
     fx, vendor, log_key, config, tmp = env
     service = start_service(config)

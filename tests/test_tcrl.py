@@ -15,7 +15,7 @@ from pkisn.tcrl import (
     commit_tcrl,
     verify_tcrl,
 )
-from pkisn.validation import validate_with_tcrl, is_valid, ValidationInput
+from pkisn.validation import Reason, validate_with_tcrl, is_valid, ValidationInput
 from pkisn.revtree import cert_id_hash
 
 from helpers import T0, YEAR, ChainFixture, make_leaf
@@ -308,3 +308,37 @@ def test_inclusion_found_after_later_updates():
     never_logged = replace(tcrl, log_commitment=replace(tcrl.log_commitment, timestamp=T0 + 1))
     with pytest.raises(LookupError):
         attach_inclusion(log, never_logged)
+
+
+def test_bundle_out_of_canonical_order_is_refused():
+    # lookup bisects on cert_hash, so a vendor-signed bundle whose entries are
+    # out of order would hide most of its revocations from a client.
+    fx = ChainFixture()
+    log, vendor, log_key = make_env(fx)
+    chains, ccs = [], []
+    for i in range(6):
+        key = KeyPair.generate(KeyRole.STANDARD_LEAF)
+        chain = CertChain((fx.root, fx.inter, make_leaf(f"r{i}.example.com", key, fx.inter_key, serial=700 + i)))
+        ccs.append(log.submit_chain(chain))
+        chains.append((chain, key))
+    log.run_update()
+    for chain, key in chains:
+        log.submit_revocation(chain, make_revocation(RevocationKind.LEAF_REVOKE, chain.leaf, key, SignerRole.OWN_KEY))
+    log.run_update()
+    tcrl = build_tcrl(log, vendor, now=log.last_update_time)
+    unsigned = replace(tcrl, entries=tcrl.entries[::-1], vendor_signature=None)
+    reversed_ = replace(unsigned, vendor_signature=vendor.sign(TAG_TCRL, unsigned.signing_bytes()))
+    with pytest.raises(ValueError, match="canonical order"):
+        commit_tcrl(log, reversed_)
+    reversed_ = replace(reversed_, log_commitment=log.submit_tcrl_hash(reversed_.tcrl_hash))
+    assert not verify_tcrl(reversed_, vendor.public_bytes, log_key.public_bytes)
+
+    tcrl = commit_tcrl(log, tcrl)
+    assert verify_tcrl(tcrl, vendor.public_bytes, log_key.public_bytes)
+    for (chain, _), cc in zip(chains, ccs):
+        result = validate_with_tcrl(
+            chain, cc, tcrl, chain.leaf.subject_name, now=log.last_update_time + 5,
+            trust_roots=log.config.trust_roots, vendor_pub=vendor.public_bytes,
+            log_pub=log_key.public_bytes,
+        )
+        assert result.reason == Reason.LEAF_REVOKED
