@@ -193,8 +193,8 @@ def test_bench_smoke(workspace):
 
 
 def test_bench_log_bytes_per_leaf_stays_bounded(workspace):
-    # 1,734 B per leaf when a hash was a dataclass around bytes and a decoded
-    # certificate kept its tbs_bytes; 1,333 B with Digest a bytes subclass.
+    # 1,734 B per leaf when a hash was a dataclass around bytes and each
+    # certificate cached its tbs_bytes; 1,333 B with Digest a bytes subclass.
     out = run_cli(["bench", "--registrations", "2000", "--update-chains", "10", "--validations", "5"])
     assert out["registration_count"] == 2000
     assert 0 < out["log_bytes_per_leaf"] < 1_500
