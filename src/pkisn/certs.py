@@ -36,7 +36,7 @@ from .crypto import (
     key_id_of,
     verify,
 )
-from .wire import Reader, lp, u8, u16, u64
+from .wire import DecodeError, Reader, lp, u8, u16, u64
 
 
 class CertError(Exception):
@@ -140,7 +140,10 @@ def decode_certificate(data: bytes) -> Certificate:
     data = bytes(data)
     r = Reader(data)
     serial = r.u64()
-    subject_name = r.lp().decode("utf-8")
+    try:
+        subject_name = r.lp().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DecodeError(f"subject name is not UTF-8: {e}") from None
     issuer_key_id = Digest(r.take(DIGEST_LEN))
     subject_public_key = r.lp()
     ca_flag = r.u8()

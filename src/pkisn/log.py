@@ -247,7 +247,6 @@ class UpdateRecord:
     tree_size: int
     signed_root: SignedRoot
     forest_root: Digest
-    root_entry_index: int
 
 
 class LogState:
@@ -256,13 +255,14 @@ class LogState:
     build it through these methods alone, so a replica's forest root is the
     log's computation by construction. register and add_revocation file each
     certificate they touch under its parent; forest_root hands those to the
-    forest, which rewrites only their leaves and the paths above them."""
+    forest, which rewrites only their leaves and the paths above them. The
+    registry holds every certificate's bytes; certs keeps decoded CAs only."""
 
     def __init__(self):
         self.tree = TimeTree()
         self.forest = RevForest()
         self.registry: dict[Digest, RegisteredCert] = {}
-        self.certs: dict[Digest, Certificate] = {}
+        self.certs: dict[Digest, Certificate] = {}  # CAs only
         self.children: dict[Digest | None, list[Digest]] = {None: []}
         # First registered certificate holding each subject key; fixes forest
         # placement deterministically from the entry stream alone.
@@ -281,7 +281,8 @@ class LogState:
             return False
         parent = None if cert.is_ca and cert.is_self_signed else self.key_owner.get(cert.issuer_key_id)
         self.registry[h] = RegisteredCert(cert.canonical_bytes, reg_ts, parent, [], cert.not_after)
-        self.certs[h] = cert
+        if cert.is_ca:
+            self.certs[h] = cert
         self.key_owner.setdefault(cert.subject_key_id, h)
         self.children.setdefault(parent, []).append(h)
         self._changed.setdefault(parent, []).append(h)
@@ -327,8 +328,7 @@ class LogServer(LogState):
         super().__init__()
         self.config = config
         self.key = signing_key
-        self.pending_certs: list[Digest] = []  # submission order, parents first
-        self.pending_set: set[Digest] = set()
+        self.pending_certs: dict[Digest, Certificate] = {}  # submission order, parents first
         self.pending_revs: list[RevocationMessage] = []
         # Commitments to pending revocations, signed once until the update merges them.
         self._pending_commitments: dict[Digest, RevocationCommitment] = {}
@@ -364,13 +364,9 @@ class LogServer(LogState):
     def _admit_chain(self, chain: CertChain) -> ChainCommitment:
         if chain.root.cert_hash not in self.config.trust_roots:
             raise UntrustedRoot("chain does not terminate at a trusted root")
-        new_count = sum(
-            1
-            for c in chain.certs
-            if c.cert_hash not in self.registry and c.cert_hash not in self.pending_set
-        )
-        if len(self.pending_certs) + new_count > self.config.max_pending:
-            raise QueueFull(f"more than {self.config.max_pending} entries pending")
+        self._make_room(sum(
+            1 for c in chain.certs if c.cert_hash not in self.registry and c.cert_hash not in self.pending_certs
+        ))
         queued = [(jr.REC_CERT, c.canonical_bytes) for c in chain.certs if self._queue_cert(c)]
         if self._journal is not None and queued:
             self._journal.append_all(queued)
@@ -383,12 +379,15 @@ class LogServer(LogState):
     def _queue_cert(self, cert: Certificate) -> bool:
         """Queue a certificate for the next update; False if already known."""
         h = cert.cert_hash
-        if h in self.registry or h in self.pending_set:
+        if h in self.registry or h in self.pending_certs:
             return False
-        self.certs[h] = cert
-        self.pending_certs.append(h)
-        self.pending_set.add(h)
+        self.pending_certs[h] = cert
         return True
+
+    def _make_room(self, new: int) -> None:
+        """Refuse new entries that would take the queues past max_pending."""
+        if len(self.pending_certs) + len(self.pending_revs) + len(self.pending_tcrls) + new > self.config.max_pending:
+            raise QueueFull(f"more than {self.config.max_pending} entries pending")
 
     def _sign(self, tag: int, unsigned):
         return replace(unsigned, log_signature=self.key.sign(tag, unsigned.payload()))
@@ -402,28 +401,37 @@ class LogServer(LogState):
         if rev.target_cert_hash != target.cert_hash:
             raise IllegitimateRevocation("revocation does not target the chain's last certificate")
         h = target.cert_hash
-        if h not in self.registry and h not in self.pending_set:
+        if h not in self.registry and h not in self.pending_certs:
             raise TargetNotLogged("target certificate was never submitted")
         if not verify_revocation(rev, target, chain, self.config.vendor_public_key):
             raise IllegitimateRevocation("revocation signature or policy check failed")
         return self._admit_revocation(rev)
 
     def _admit_revocation(self, rev: RevocationMessage) -> RevocationCommitment:
-        ts = self._queue_revocation(rev)
+        ts = self._known_revocation_time(rev)
+        if ts is None:
+            self._make_room(1)
+            ts = self._queue_revocation(rev)
         if ts == self.next_update_time():
             return self._pending_commitment(rev)
         return self._sign_rev_commitment(rev, ts)
 
-    def _queue_revocation(self, rev: RevocationMessage) -> int:
-        """Queue a revocation for the next update and journal it; returns
-        its registration time, which a byte-identical resubmission keeps."""
-        h = rev.target_cert_hash
-        if h in self.registry:
-            for rb, ts in self.registry[h].revocations:
+    def _known_revocation_time(self, rev: RevocationMessage) -> int | None:
+        """The registration time of a byte-identical revocation that is
+        logged or pending, which a resubmission keeps; None for a new one."""
+        record = self.registry.get(rev.target_cert_hash)
+        if record is not None:
+            for rb, ts in record.revocations:
                 if rb == rev.canonical_bytes:
                     return ts
         if any(p.canonical_bytes == rev.canonical_bytes for p in self.pending_revs):
             return self.next_update_time()
+        return None
+
+    def _queue_revocation(self, rev: RevocationMessage) -> int:
+        """Queue a new revocation for the next update and journal it;
+        returns its registration time."""
+        h = rev.target_cert_hash
         if self.logged_under_other_bytes(rev) or any(p.statement == rev.statement for p in self.pending_revs):
             raise RelabelledRevocation("this revocation is already logged under other bytes")
         if rev.signer_role == SignerRole.REVOCATION_KEY:
@@ -436,11 +444,10 @@ class LogServer(LogState):
         return self.next_update_time()
 
     def _queue_tcrl(self, tcrl_hash: Digest) -> None:
-        """Queue a bundle hash for the next update and journal it."""
-        if tcrl_hash not in self.pending_tcrls:
-            self.pending_tcrls.append(tcrl_hash)
-            if self._journal is not None:
-                self._journal.append(jr.REC_TCRL, tcrl_hash)
+        """Queue a new bundle hash for the next update and journal it."""
+        self.pending_tcrls.append(tcrl_hash)
+        if self._journal is not None:
+            self._journal.append(jr.REC_TCRL, tcrl_hash)
 
     def _sign_rev_commitment(self, rev: RevocationMessage, ts: int) -> RevocationCommitment:
         return self._sign(TAG_REVOCATION_COMMITMENT, RevocationCommitment(rev.rev_hash, ts, None))
@@ -459,7 +466,9 @@ class LogServer(LogState):
     def submit_tcrl_hash(self, tcrl_hash: Digest) -> RevocationCommitment:
         """Queue a vendor revocation bundle by its hash; the tcrl module
         verifies the vendor signature before calling this."""
-        self._queue_tcrl(tcrl_hash)
+        if tcrl_hash not in self.pending_tcrls:
+            self._make_room(1)
+            self._queue_tcrl(tcrl_hash)
         return self._sign(TAG_TCRL, RevocationCommitment(tcrl_hash, self.next_update_time(), None))
 
     # -- the update cycle --------------------------------------------------
@@ -478,12 +487,10 @@ class LogServer(LogState):
         for this update: the forest is not rebuilt, and nothing is signed
         unless the recomputed tree root equals the journaled one."""
         batch: list[TimeTreeEntry] = []
-        for h in self.pending_certs:
-            cert = self.certs[h]
+        for cert in self.pending_certs.values():
             self.register(cert, now)
             batch.append(TimeTreeEntry(EntryKind.CERT, cert.canonical_bytes, now))
         self.pending_certs.clear()
-        self.pending_set.clear()
 
         for rev in self.pending_revs:
             self.add_revocation(rev.target_cert_hash, rev.canonical_bytes, now)
@@ -501,15 +508,7 @@ class LogServer(LogState):
         if journaled is not None and root != journaled[1]:
             raise ReplayMismatch(now, "tree root differs from the journaled one")
         signed = self._sign(TAG_SIGNED_ROOT, SignedRoot(root, now, None))
-        self.updates.append(
-            UpdateRecord(
-                timestamp=now,
-                tree_size=self.tree.size,
-                signed_root=signed,
-                forest_root=forest_root,
-                root_entry_index=self.tree.size - 1,
-            )
-        )
+        self.updates.append(UpdateRecord(now, self.tree.size, signed, forest_root))
         self.last_update_time = now
         if self._journal is not None:
             self._journal.append(jr.REC_UPDATE, jr.encode_update(now, forest_root, root))
@@ -528,7 +527,7 @@ class LogServer(LogState):
             raise UnknownLeaf(e.level, absence, latest.signed_root) from e
         proof = ChainPresenceProof(
             levels=tuple(levels),
-            root_entry_proof=self.tree.inclusion_proof(latest.root_entry_index, latest.tree_size),
+            root_entry_proof=self.tree.inclusion_proof(latest.tree_size - 1, latest.tree_size),
         )
         return proof, latest.signed_root, self._pending_for_levels(levels)
 
@@ -551,7 +550,7 @@ class LogServer(LogState):
             subtree_size=size,
             left=left,
             right=right,
-            root_entry_proof=self.tree.inclusion_proof(latest.root_entry_index, latest.tree_size),
+            root_entry_proof=self.tree.inclusion_proof(latest.tree_size - 1, latest.tree_size),
         )
 
     def get_consistency(self, old_size: int, new_size: int) -> ConsistencyProof:

@@ -100,7 +100,9 @@ class SyncResult:
 
 
 class FullMonitor(LogState):
-    """Complete replica of the log with continuous re-validation."""
+    """Complete replica of the log with continuous re-validation. Like the
+    log, it keeps decoded CAs only, and decodes a leaf from its logged bytes
+    in the rare check that reads one (see _cert)."""
 
     def __init__(self, trust_roots: frozenset[Digest], log_pub: bytes, vendor_pub: bytes):
         super().__init__()
@@ -186,7 +188,7 @@ class FullMonitor(LogState):
             target = rev.target_cert_hash
             if target not in self.registry:
                 return self._invalid(entry, index, "revocation of an unlogged certificate")
-            if revocation_signer(rev, self.certs[target], self._ancestors(target), self.vendor_pub) is None:
+            if revocation_signer(rev, self._cert(target), self._ancestors(target), self.vendor_pub) is None:
                 why = "revocation fails verification"
             elif self.logged_under_other_bytes(rev):
                 why = "revocation already logged under other bytes"
@@ -213,7 +215,7 @@ class FullMonitor(LogState):
             if cert.is_self_signed:
                 return "self-signed root outside the trust set"
             return "issuer key unknown to the log"
-        return issuance_problem(cert, self.certs[parent_hash])
+        return issuance_problem(cert, self._cert(parent_hash))
 
     def _invalid(self, entry: TimeTreeEntry, index: int, why: str, **extra) -> MisbehaviorReport:
         return MisbehaviorReport(
@@ -221,12 +223,19 @@ class FullMonitor(LogState):
             {"entry": b64e(entry.encode()), "why": why, "at_index": index, **extra},
         )
 
+    def _cert(self, h: Digest) -> Certificate:
+        """The kept CA, or else a leaf decoded from its logged bytes: a
+        revocation target, or an issuer on a misbehaving stream, since
+        key_owner files leaf keys too."""
+        cert = self.certs.get(h)
+        return cert if cert is not None else decode_certificate(self.registry[h].cert_bytes)
+
     def _ancestors(self, cert_hash: Digest) -> list[Certificate]:
         """The certificates a registered one hangs under, root first."""
         out: list[Certificate] = []
         parent = self.registry[cert_hash].parent
         while parent is not None:
-            out.append(self.certs[parent])
+            out.append(self._cert(parent))
             parent = self.registry[parent].parent
         return out[::-1]
 

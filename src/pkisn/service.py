@@ -10,6 +10,7 @@ into a single handshake message.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -41,7 +42,13 @@ from .wire import b64d, b64e
 # -- file formats -------------------------------------------------------------
 
 def save_key(path: str | Path, key: KeyPair) -> None:
-    Path(path).write_text(json.dumps({"role": key.role.value, "seed": b64e(key.seed)}) + "\n")
+    """Write a private key that only its owner can read: the file is
+    created with mode 0600, and an existing file is narrowed before the seed
+    is written."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w") as f:
+        os.fchmod(fd, 0o600)  # os.open leaves an existing file's mode as it was
+        f.write(json.dumps({"role": key.role.value, "seed": b64e(key.seed)}) + "\n")
 
 
 def load_key(path: str | Path) -> KeyPair:

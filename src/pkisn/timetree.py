@@ -8,9 +8,8 @@ at this time") and consistency proofs ("this snapshot extends that one").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 
 from .crypto import Digest, hash_leaf
 from .merkle import HashStore, Node, root_from_audit_path, verify_consistency_path
@@ -40,18 +39,18 @@ class EntryKind(IntEnum):
     TCRL = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeTreeEntry:
     kind: EntryKind
     payload: bytes
     reg_timestamp: int
+    leaf_hash: Digest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "leaf_hash", hash_leaf(self.encode()))
 
     def encode(self) -> bytes:
         return u8(int(self.kind)) + u64(self.reg_timestamp) + lp(self.payload)
-
-    @cached_property
-    def leaf_hash(self) -> Digest:
-        return hash_leaf(self.encode())
 
     @classmethod
     def decode(cls, data: bytes) -> "TimeTreeEntry":

@@ -21,6 +21,7 @@ from pkisn.certs import (
 )
 from pkisn.crypto import KeyPair, KeyRole
 from pkisn.validation import Cause, LegitimacyPeriod, determine_lp_ca, determine_lp_leaf
+from pkisn.wire import DecodeError
 
 from helpers import DAY, T0, YEAR, ChainFixture, ca_keys, make_ca, make_leaf, make_root
 
@@ -314,3 +315,10 @@ def test_decoded_certificate_keeps_only_its_canonical_bytes():
         assert "tbs_bytes" not in back.__dict__
         assert back.tbs_bytes == canonical_tbs_bytes(cert)
         assert "tbs_bytes" not in back.__dict__
+
+
+def test_subject_name_that_is_not_utf8_is_a_decode_error():
+    raw = bytearray(ChainFixture().leaf.canonical_bytes)
+    raw[12] = 0xFF  # the first byte of the subject name, after the serial and its length
+    with pytest.raises(DecodeError):
+        decode_certificate(bytes(raw))

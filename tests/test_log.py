@@ -1,14 +1,21 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import pkisn
 from pkisn.certs import (
     CertChain,
     RevocationKind,
     SignerRole,
     make_revocation,
 )
-from pkisn.crypto import KeyPair, KeyRole, empty_subtree_root
+from pkisn.crypto import KeyPair, KeyRole, empty_subtree_root, hash_leaf
+from pkisn.journal import Journal
 from pkisn.log import (
     DuplicateRkRevocation,
     IllegitimateRevocation,
@@ -353,3 +360,128 @@ def test_pending_revocation_commitment_is_signed_once(monkeypatch):
         assert [p.commitment for p in pending] == [commitment]
         assert pending[0].commitment.log_signature.encode() == commitment.log_signature.encode()
     assert len(signatures) <= 1
+
+
+def _inter_cutoffs(fx, n):
+    """n distinct CA revocations of the intermediate, signed by the root."""
+    return [
+        make_revocation(RevocationKind.CA_REVOKE_FROM, fx.inter, fx.root_key, SignerRole.PARENT_CA,
+                        rev_timestamp=T0 + YEAR + k, signer_depth=0)
+        for k in range(n)
+    ]
+
+
+def test_max_pending_bounds_revocations_and_bundles():
+    fx = ChainFixture()
+    log, _, _ = new_log(fx, max_pending=3)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    ca_chain = CertChain((fx.root, fx.inter))
+    revs = _inter_cutoffs(fx, 4)
+    commitments = [log.submit_revocation(ca_chain, rev) for rev in revs[:3]]
+    with pytest.raises(QueueFull):
+        log.submit_revocation(ca_chain, revs[3])
+    with pytest.raises(QueueFull):
+        log.submit_tcrl_hash(hash_leaf(b"bundle"))
+    assert len(log.pending_revs) == 3 and log.pending_tcrls == []
+    # A resubmission at capacity adds nothing and keeps its commitment, pending or logged.
+    assert log.submit_revocation(ca_chain, revs[0]).log_signature.encode() == commitments[0].log_signature.encode()
+    log.run_update()
+    assert log.submit_revocation(ca_chain, revs[1]) == commitments[1]
+
+
+def test_max_pending_counts_every_kind_of_entry():
+    fx = ChainFixture()
+    log, _, _ = new_log(fx, max_pending=4)
+    log.submit_chain(fx.chain)
+    bundle = hash_leaf(b"bundle")
+    rc = log.submit_tcrl_hash(bundle)
+    assert log.submit_tcrl_hash(bundle) == rc  # a pending bundle is not queued twice
+    leaf2 = make_leaf("second.example.com", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.inter_key, serial=999)
+    with pytest.raises(QueueFull):
+        log.submit_chain(CertChain((fx.root, fx.inter, leaf2)))
+    with pytest.raises(QueueFull):
+        log.submit_tcrl_hash(hash_leaf(b"another bundle"))
+
+
+def test_recovery_replays_a_full_queue(tmp_path):
+    fx = ChainFixture()
+    log, vendor, log_key = new_log(fx, max_pending=3)
+    log._journal = Journal(tmp_path / "journal.bin", fsync=False)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    for rev in _inter_cutoffs(fx, 3):
+        log.submit_revocation(CertChain((fx.root, fx.inter)), rev)
+    log._journal.close()
+    # Replay keeps what was admitted, even under a smaller bound.
+    config = replace(log.config, max_pending=1)
+    recovered = LogServer.recover(config, log_key, T0, tmp_path / "journal.bin")
+    assert [r.canonical_bytes for r in recovered.pending_revs] == [r.canonical_bytes for r in log.pending_revs]
+    recovered._journal.close()
+
+
+def test_log_keeps_decoded_cas_only(tmp_path):
+    fx = ChainFixture()
+    log, _, log_key = new_log(fx)
+    log._journal = Journal(tmp_path / "journal.bin", fsync=False)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    leaves = [make_leaf(f"h{i}.example.com", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.inter_key, serial=900 + i)
+              for i in range(3)]
+    for leaf in leaves:
+        log.submit_chain(CertChain((fx.root, fx.inter, leaf)))
+    log._journal.close()
+    recovered = LogServer.recover(log.config, log_key, T0, tmp_path / "journal.bin")
+    assert set(recovered.certs) == {fx.root.cert_hash, fx.inter.cert_hash}
+    assert list(recovered.pending_certs.items()) == [(leaf.cert_hash, leaf) for leaf in leaves]
+    recovered.run_update()
+    recovered._journal.close()
+    assert set(recovered.certs) == {fx.root.cert_hash, fx.inter.cert_hash}
+    assert recovered.pending_certs == {}
+
+
+# Run in a fresh interpreter: CPython sizes an instance dict by the instances
+# of its class made before it, so a process that built the certificates
+# would count them differently.
+_MEASURE_RECOVERY = """
+import gc, json, sys, tracemalloc
+from pkisn.crypto import Digest, KeyPair, KeyRole
+from pkisn.log import LogConfig, LogServer
+from pkisn.monitor import FullMonitor
+
+arg = json.loads(sys.argv[1])
+config = LogConfig(arg["period"], frozenset({Digest.from_hex(arg["root"])}), bytes.fromhex(arg["vendor"]))
+log_key = KeyPair(KeyRole.LOG, bytes.fromhex(arg["seed"]))
+tracemalloc.start()
+log = LogServer.recover(config, log_key, arg["start"], arg["journal"])
+gc.collect()
+held_by_log = tracemalloc.get_traced_memory()[0]
+monitor = FullMonitor(config.trust_roots, log_key.public_bytes, config.vendor_public_key)
+assert monitor.sync_from(log).ok
+gc.collect()
+held_by_monitor = tracemalloc.get_traced_memory()[0] - held_by_log
+n = len(log.registry)
+print(json.dumps({"certs": n, "log": held_by_log / n, "monitor": held_by_monitor / n}))
+"""
+
+
+def test_recovered_log_and_its_replica_hold_little_per_certificate(tmp_path):
+    fx = ChainFixture()
+    log, vendor, log_key = new_log(fx)
+    log._journal = Journal(tmp_path / "journal.bin", fsync=False)
+    for update in range(10):
+        for i in range(200):
+            serial = 1000 + 200 * update + i
+            leaf = make_leaf(f"h{serial}.example.com", KeyPair.generate(KeyRole.STANDARD_LEAF), fx.inter_key, serial)
+            log.submit_chain(CertChain((fx.root, fx.inter, leaf)))
+        log.run_update()
+    log._journal.close()
+    arg = {"period": PERIOD, "root": fx.root.cert_hash.hex, "vendor": vendor.public_bytes.hex(),
+           "seed": log_key.seed.hex(), "start": T0, "journal": str(tmp_path / "journal.bin")}
+    src = str(Path(pkisn.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _MEASURE_RECOVERY, json.dumps(arg)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    held = json.loads(out.stdout)
+    assert held["certs"] == 2002
+    assert held["log"] < 1500, held
+    assert held["monitor"] < 1100, held

@@ -708,3 +708,34 @@ def test_relabelled_revocation_entry_reported():
     res = monitor.sync_from(log)
     assert not res.ok
     assert [r.evidence["why"] for r in res.reports] == ["revocation already logged under other bytes"]
+
+
+def test_leaf_parent_stream_is_judged_from_logged_bytes():
+    # A misbehaving log hangs a certificate under a leaf, which then revokes
+    # it as its parent; the monitor holds no decoded leaves and reads both
+    # from their logged bytes.
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    below = _rogue_certs(fx)["issuer is not a CA"]
+    log._queue_cert(below)  # the log skips its admission checks
+    log.run_update()
+    assert [r.evidence["why"] for r in monitor.sync_from(log).reports] == ["issuer is not a CA"]
+    rev = make_revocation(RevocationKind.LEAF_REVOKE, below, fx.leaf_key, SignerRole.PARENT_CA, signer_depth=2)
+    log.pending_revs.append(rev)
+    log.run_update()
+    assert monitor.sync_from(log).reports == []
+    assert monitor.forest.top_root() == log.forest.top_root()
+
+
+def test_full_monitor_keeps_decoded_cas_only():
+    fx = ChainFixture()
+    log, monitor, vendor, log_key = make_env(fx)
+    log.submit_chain(fx.chain)
+    log.run_update()
+    log.submit_revocation(fx.chain, make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY))
+    log.run_update()
+    assert monitor.sync_from(log).ok
+    assert set(monitor.certs) == {fx.root.cert_hash, fx.inter.cert_hash}

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from pkisn.service import (
     ServerSession,
     ServiceConfig,
     handshake_sim,
+    load_key,
     open_log_from_config,
     save_key,
     save_public_key,
@@ -321,3 +323,44 @@ def test_malformed_request_bodies_get_a_typed_answer(env):
         assert cc.verify(log_key.public_bytes)
     finally:
         service.shutdown()
+
+
+def test_full_queue_refuses_a_new_revocation_with_409(env):
+    fx, vendor, log_key, config, tmp = env
+    log = open_log_from_config(config)
+    service = LogHTTPService(log, config)
+    service.serve()
+    try:
+        client = HttpLogClient(f"http://{config.listen_address}")
+        client.submit_chain(fx.chain)
+        client.run_update()
+        log.config.max_pending = 1
+        own = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, fx.leaf_key, SignerRole.OWN_KEY)
+        by_vendor = make_revocation(RevocationKind.LEAF_REVOKE, fx.leaf, vendor, SignerRole.VENDOR)
+        first = client.submit_revocation(fx.chain, own)
+        with pytest.raises(RemoteLogError) as err:
+            client.submit_revocation(fx.chain, by_vendor)
+        assert (err.value.status, err.value.detail["error"]) == (409, "QueueFull")
+        assert client.submit_revocation(fx.chain, own) == first
+    finally:
+        service.shutdown()
+
+
+def test_private_key_files_are_owner_only(tmp_path):
+    key = KeyPair.generate(KeyRole.LOG)
+    stale = tmp_path / "stale.key"
+    stale.write_text("{}\n")
+    stale.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        save_key(tmp_path / "fresh.key", key)
+        save_key(stale, key)
+        save_public_key(tmp_path / "log.pub", key.public_bytes)
+    finally:
+        os.umask(umask)
+
+    def mode(name):
+        return stat.S_IMODE((tmp_path / name).stat().st_mode)
+
+    assert (mode("fresh.key"), mode("stale.key"), mode("log.pub")) == (0o600, 0o600, 0o644)
+    assert load_key(stale).seed == key.seed
